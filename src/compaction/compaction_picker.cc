@@ -36,7 +36,9 @@ double CompactionPicker::Score(const Version& version, int level) const {
     return static_cast<double>(version.NumFiles(level)) /
            static_cast<double>(RunCountTrigger(level));
   }
-  if (level == 0) {
+  if (level == 0 || level == version.num_levels() - 1) {
+    // A leveled last level has no deeper level to shed bytes into: a size
+    // trigger there would rewrite it in place, forever.
     return 0.0;
   }
   return static_cast<double>(version.LevelBytes(level)) /

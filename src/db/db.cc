@@ -12,7 +12,7 @@
 #include "db/filename.h"
 #include "db/shard_directory.h"
 #include "io/wal_reader.h"
-#include "table/merging_iterator.h"
+#include "table/concatenating_iterator.h"
 #include "util/clock.h"
 #include "util/coding.h"
 #include "util/comparator.h"
@@ -529,6 +529,27 @@ std::vector<Status> ShardedDB::MultiGet(const ReadOptions& options,
   return statuses;
 }
 
+/// Shards hold disjoint key ranges in shard order, so a scan is their
+/// concatenation: Seek routes to the one shard that holds the target, and
+/// Next moves into the next shard when the current one runs out.
+class ShardedDB::ShardIterator final : public ConcatenatingIterator {
+ public:
+  ShardIterator(const ShardedDB* db,
+                std::vector<std::unique_ptr<Iterator>> shards)
+      : ConcatenatingIterator(shards.size()),
+        db_(db),
+        shards_(std::move(shards)) {}
+
+ private:
+  size_t FindChild(const Slice& target) const override {
+    return static_cast<size_t>(db_->ShardForKey(target));
+  }
+  Iterator* OpenChild(size_t index) override { return shards_[index].get(); }
+
+  const ShardedDB* const db_;
+  const std::vector<std::unique_ptr<Iterator>> shards_;
+};
+
 std::unique_ptr<Iterator> ShardedDB::NewIterator(const ReadOptions& options) {
   stats_.range_scans.fetch_add(1, std::memory_order_relaxed);
   if (num_shards_ == 1) {
@@ -540,6 +561,8 @@ std::unique_ptr<Iterator> ShardedDB::NewIterator(const ReadOptions& options) {
   // lock guarantees the cut contains all shards of every cross-shard batch
   // or none of them.
   std::vector<SequenceNumber> cut(static_cast<size_t>(num_shards_), 0);
+  std::vector<std::shared_ptr<const ReadView>> views(
+      static_cast<size_t>(num_shards_));
   if (options.snapshot_seqno & kSnapshotHandleBit) {
     MutexLock lock(&commit_mu_);
     auto it =
@@ -550,22 +573,32 @@ std::unique_ptr<Iterator> ShardedDB::NewIterator(const ReadOptions& options) {
   } else if (options.snapshot_seqno != 0) {
     cut.assign(static_cast<size_t>(num_shards_), options.snapshot_seqno);
   } else {
+    // Each shard's view is pinned before its sequence is read, as a single
+    // engine does: every compaction in the view was admitted at or below
+    // that sequence, so it kept every version the cut reads. (Reading the
+    // sequence first would let a compaction admitted in between drop them:
+    // a key would vanish, or an older value resurface.)
     MutexLock lock(&commit_mu_);
     for (int k = 0; k < num_shards_; ++k) {
-      cut[static_cast<size_t>(k)] =
-          shards_[static_cast<size_t>(k)]->LastSequence();
+      const size_t sk = static_cast<size_t>(k);
+      views[sk] = shards_[sk]->AcquireReadView();
+      cut[sk] = shards_[sk]->LastSequence();
     }
   }
+  // Every shard's iterator is built now, at the cut, even though a Seek
+  // positions only the shard holding its target: a shard the scan reaches
+  // later must still read the state of the cut.
   std::vector<std::unique_ptr<Iterator>> children;
   children.reserve(static_cast<size_t>(num_shards_));
   for (int k = 0; k < num_shards_; ++k) {
+    const size_t sk = static_cast<size_t>(k);
     ReadOptions ro = options;
-    ro.snapshot_seqno = cut[static_cast<size_t>(k)];
-    children.push_back(shards_[static_cast<size_t>(k)]->NewIterator(ro));
+    ro.snapshot_seqno = cut[sk];
+    children.push_back(views[sk] != nullptr
+                           ? shards_[sk]->NewIterator(ro, *views[sk])
+                           : shards_[sk]->NewIterator(ro));
   }
-  // Shards hold disjoint key ranges, so the merge degenerates to ordered
-  // concatenation — but reusing the merging iterator keeps one code path.
-  return NewMergingIterator(options_.comparator, std::move(children));
+  return std::make_unique<ShardIterator>(this, std::move(children));
 }
 
 SequenceNumber ShardedDB::GetSnapshot() {

@@ -210,6 +210,8 @@ class ShardedDB {
 
   /// Shard serving `key`: upper_bound over the interior split keys.
   int ShardForKey(const Slice& key) const;
+  /// Scan at N > 1: the per-shard iterators concatenated in shard order.
+  class ShardIterator;
   /// Rewrites a snapshot handle (bit 63) into shard `shard`'s pinned
   /// sequence; passes raw sequences through.
   ReadOptions ShardReadOptions(const ReadOptions& options, int shard) const

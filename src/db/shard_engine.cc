@@ -1606,9 +1606,12 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
 
 std::unique_ptr<Iterator> ShardEngine::NewInternalIterator(const ReadOptions& options,
                                                   const ReadView& view) {
-  // Mutex-free: the view already pins the memtables and Version, and the
-  // child iterators hold their own shared_ptrs, so the merged iterator
-  // outlives any concurrent flush or compaction.
+  // One merge child per sorted run, newest first: each memtable, each L0
+  // file, each run of a tiered level, and one LevelIterator per leveled
+  // level. Mutex-free: the view already pins the memtables and Version,
+  // and the children hold their own memtable and reader shared_ptrs (never
+  // the Version), so the merged iterator outlives any concurrent flush or
+  // compaction without delaying its file deletions.
   std::vector<std::unique_ptr<Iterator>> children;
   children.push_back(std::make_unique<MemTableIteratorAdapter>(view.mem));
   for (const auto& imm : view.imms) {
@@ -1616,12 +1619,23 @@ std::unique_ptr<Iterator> ShardEngine::NewInternalIterator(const ReadOptions& op
   }
 
   for (int level = 0; level < view.version->num_levels(); ++level) {
-    for (const auto& f : view.version->files(level)) {
-      std::shared_ptr<TableReader> reader;
-      Status s = GetTableReader(f, &reader);
+    const std::vector<FileMetaData>& files = view.version->files(level);
+    if (files.empty()) {
+      continue;
+    }
+    std::vector<std::shared_ptr<TableReader>> readers(files.size());
+    for (size_t i = 0; i < files.size(); ++i) {
+      Status s = GetTableReader(files[i], &readers[i]);
       if (!s.ok()) {
         return NewEmptyIterator(s);
       }
+    }
+    if (level > 0 && !view.version->IsTieredLevel(level)) {
+      children.push_back(std::make_unique<LevelIterator>(
+          &internal_comparator_, options, files, std::move(readers)));
+      continue;
+    }
+    for (auto& reader : readers) {
       auto iter = reader->NewIterator(options);
       children.push_back(std::make_unique<TableIteratorHolder>(
           std::move(reader), std::move(iter)));
@@ -1805,13 +1819,17 @@ class ShardEngine::DBIter final : public Iterator {
 };
 
 std::unique_ptr<Iterator> ShardEngine::NewIterator(const ReadOptions& options) {
+  return NewIterator(options, *AcquireReadView());
+}
+
+std::unique_ptr<Iterator> ShardEngine::NewIterator(const ReadOptions& options,
+                                                   const ReadView& view) {
   // range_scans is the facade's counter: one client scan may open one
   // iterator per shard.
-  std::shared_ptr<const ReadView> view = AcquireReadView();
   SequenceNumber snapshot = options.snapshot_seqno != 0
                                 ? options.snapshot_seqno
                                 : versions_->last_sequence();
-  auto internal = NewInternalIterator(options, *view);
+  auto internal = NewInternalIterator(options, view);
   return std::make_unique<DBIter>(this, std::move(internal), snapshot);
 }
 

@@ -179,6 +179,21 @@ class ShardEngine {
   /// suppressed). Forward-only. Scan statistics (range_scans) are the
   /// facade's to record.
   std::unique_ptr<Iterator> NewIterator(const ReadOptions& options);
+  /// The same over a view the caller acquired earlier. The view must have
+  /// been acquired before `options.snapshot_seqno` was read (0 reads the
+  /// newest sequence now): every compaction in the view then kept what
+  /// that sequence sees. The facade pins each shard's view and sequence,
+  /// in that order, at one cross-shard cut under its commit lock.
+  std::unique_ptr<Iterator> NewIterator(const ReadOptions& options,
+                                        const ReadView& view);
+
+  /// One pointer copy under the dedicated view lock. Never null after
+  /// Initialize succeeds.
+  std::shared_ptr<const ReadView> AcquireReadView() const
+      EXCLUDES(read_view_mu_) {
+    MutexLock lock(&read_view_mu_);
+    return read_view_;
+  }
 
   /// Snapshots pin a sequence number; reads at a snapshot see only writes
   /// with sequence <= it, and compactions preserve what snapshots need.
@@ -433,13 +448,6 @@ class ShardEngine {
                       std::string* value);
 
   // --- Low-contention read path -----------------------------------------
-  /// One pointer copy under the dedicated view lock. Never null after
-  /// Initialize succeeds.
-  std::shared_ptr<const ReadView> AcquireReadView() const
-      EXCLUDES(read_view_mu_) {
-    MutexLock lock(&read_view_mu_);
-    return read_view_;
-  }
   /// Rebuilds the view from {mem_, imms_, versions_->current()} and swaps
   /// it in under read_view_mu_. Called only by the paths that change view
   /// membership: Recover, memtable seal, flush install, and compaction

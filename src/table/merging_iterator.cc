@@ -6,9 +6,11 @@ namespace lsmlab {
 
 namespace {
 
-/// Straightforward tournament over N children. N is small (runs in a tree),
-/// so a linear scan for the minimum beats heap bookkeeping in practice and
-/// is simpler to verify. Ties are broken by child index, so children must be
+/// Straightforward tournament over N children. N is small — a scan's
+/// children are the tree's sorted runs (memtables, L0 files, tiered runs,
+/// one per leveled level), a compaction's are its input files — so a
+/// linear scan for the minimum beats heap bookkeeping in practice and is
+/// simpler to verify. Ties are broken by child index, so children must be
 /// ordered newest-first.
 class MergingIterator final : public Iterator {
  public:

@@ -529,15 +529,19 @@ void VersionSet::AddLiveFiles(std::set<uint64_t>* live) const {
     }
   };
   add_version(*current_);
-  // Sweep older versions, pruning the ones nobody references anymore.
-  auto out = referenced_versions_.begin();
-  for (auto& weak : referenced_versions_) {
+  // Prune the older versions nobody references anymore, then sweep the
+  // rest. Not an in-place `*out++ = std::move(weak)` compaction: that
+  // self-move-assigns each survivor ahead of the first pruned entry, which
+  // empties a std::weak_ptr and drops a version a reader still holds.
+  std::erase_if(referenced_versions_,
+                [](const std::weak_ptr<const Version>& weak) {
+                  return weak.expired();
+                });
+  for (const auto& weak : referenced_versions_) {
     if (auto v = weak.lock()) {
       add_version(*v);
-      *out++ = std::move(weak);
     }
   }
-  referenced_versions_.erase(out, referenced_versions_.end());
 }
 
 }  // namespace lsmlab

@@ -223,6 +223,20 @@ TEST_F(PickerTest, ScoreGrowsWithPressure) {
   EXPECT_EQ(0.0, picker.Score(*version, 2));
 }
 
+TEST_F(PickerTest, LeveledLastLevelIsNeverSizeTriggered) {
+  // Over its size target the last level has nowhere to go; scoring it
+  // would rewrite it into itself in an endless loop.
+  options_.data_layout = DataLayout::kLeveling;
+  options_.num_levels = 3;
+  auto version = MakeVersion({
+      {2, MakeFile(21, "a", "c", 50000)},
+      {2, MakeFile(22, "d", "j", 50000)},
+  });
+  CompactionPicker picker(&options_);
+  EXPECT_EQ(0.0, picker.Score(*version, 2));
+  EXPECT_FALSE(picker.Pick(*version, 0).has_value());
+}
+
 TEST_F(PickerTest, ManualCompactionCoversLevel) {
   options_.data_layout = DataLayout::kOneLeveling;
   auto version = MakeVersion({

@@ -1,15 +1,25 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "db/db.h"
+#include "db/dbformat.h"
+#include "db/filename.h"
 #include "db/merge_operator.h"
+#include "io/fault_injection_env.h"
 #include "io/mem_env.h"
+#include "table/table_reader.h"
+#include "util/comparator.h"
 #include "util/random.h"
 
 namespace lsmlab {
@@ -1035,6 +1045,413 @@ TEST_F(DBTest, PerLevelIndexTypeOverride) {
                 db_->statistics()->learned_index_fallbacks.load(),
             0u);
 }
+
+// ---------------------------------------------------------------------------
+// Scan path: one merge child per sorted run. A leveled level is read as one
+// concatenated run whose files are opened only when the scan reaches them.
+// ---------------------------------------------------------------------------
+
+/// The tree shape LevelsDebugString() prints ("level L (kind): N files"),
+/// summed over shards.
+struct TreeShape {
+  int l0_files = 0;
+  int leveled_levels = 0;     // Non-empty leveled levels below L0.
+  int tiered_runs = 0;        // Files of tiered levels below L0.
+  int max_leveled_files = 0;  // Largest leveled level below L0.
+  int total_files = 0;
+};
+
+TreeShape ParseTreeShape(const std::string& levels) {
+  TreeShape shape;
+  size_t pos = 0;
+  while ((pos = levels.find("level ", pos)) != std::string::npos) {
+    int level = 0;
+    int files = 0;
+    char kind[16] = {};
+    if (std::sscanf(levels.c_str() + pos, "level %d (%15[a-z]): %d files",
+                    &level, kind, &files) == 3) {
+      shape.total_files += files;
+      if (level == 0) {
+        shape.l0_files += files;
+      } else if (std::string(kind) == "leveled") {
+        ++shape.leveled_levels;
+        shape.max_leveled_files = std::max(shape.max_leveled_files, files);
+      } else {
+        shape.tiered_runs += files;
+      }
+    }
+    ++pos;
+  }
+  return shape;
+}
+
+/// Names of the table files now in `dir`.
+std::set<std::string> TableFiles(Env* env, const std::string& dir) {
+  std::vector<std::string> children;
+  EXPECT_TRUE(env->GetChildren(dir, &children).ok());
+  std::set<std::string> tables;
+  for (const auto& name : children) {
+    uint64_t number;
+    FileType type;
+    if (ParseFileName(name, &number, &type) && type == FileType::kTableFile) {
+      tables.insert(name);
+    }
+  }
+  return tables;
+}
+
+/// Number of distinct data blocks, over every table file in `dir`, that
+/// hold one of `keys` — read with standalone TableReaders, so the DB's
+/// block cache is not touched.
+size_t CountDataBlocksHolding(Env* env, const std::string& dir,
+                              const std::vector<std::string>& keys) {
+  InternalKeyComparator icmp(BytewiseComparator());
+  TableReaderOptions topts;
+  topts.comparator = &icmp;
+  std::set<std::pair<uint64_t, uint64_t>> blocks;  // (file, block offset)
+  for (const auto& name : TableFiles(env, dir)) {
+    uint64_t number;
+    FileType type;
+    EXPECT_TRUE(ParseFileName(name, &number, &type));
+    const std::string path = dir + "/" + name;
+    uint64_t size = 0;
+    std::unique_ptr<RandomAccessFile> file;
+    EXPECT_TRUE(env->GetFileSize(path, &size).ok());
+    EXPECT_TRUE(env->NewRandomAccessFile(path, &file).ok());
+    std::unique_ptr<TableReader> table;
+    EXPECT_TRUE(
+        TableReader::Open(topts, std::move(file), size, number, &table).ok());
+    for (const auto& key : keys) {
+      LookupKey lkey(key, kMaxSequenceNumber);
+      bool found = false;
+      std::string entry_key;
+      std::string entry_value;
+      EXPECT_TRUE(table
+                      ->InternalGet(ReadOptions(), lkey.internal_key(), &found,
+                                    &entry_key, &entry_value)
+                      .ok());
+      BlockHandle handle;
+      Status s;
+      if (found && table->LocateDataBlock(lkey.internal_key(), &handle, &s)) {
+        blocks.insert({number, handle.offset()});
+      }
+    }
+  }
+  return blocks.size();
+}
+
+std::string ScanKey(int i) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "key%06d", i);
+  return buf;
+}
+
+TEST_F(DBTest, ScanBlockLookupsBoundedBySortedRuns) {
+  // Exact I/O gate: a Seek plus 50 Next on a leveled tree of many small
+  // files looks up at most one block per sorted run (where the Seek lands)
+  // plus the data blocks holding the 51 keys it returns — independent of
+  // how many files the levels hold.
+  options_.num_shards = 1;
+  options_.data_layout = DataLayout::kLeveling;
+  options_.target_file_size = 2 << 10;
+  options_.block_size = 512;
+  options_.block_cache_capacity = 8 << 20;  // Holds every block.
+  OpenDB();
+  constexpr int kKeys = 4000;
+  std::vector<int> order(kKeys);
+  for (int i = 0; i < kKeys; ++i) {
+    order[static_cast<size_t>(i)] = i;
+  }
+  Random rnd(301);
+  for (int i = kKeys - 1; i > 0; --i) {
+    std::swap(order[static_cast<size_t>(i)],
+              order[rnd.Uniform(static_cast<uint32_t>(i + 1))]);
+  }
+  // Every key is written once, so each returned key is one table entry.
+  for (int i : order) {
+    ASSERT_TRUE(Put(ScanKey(i), std::string(100, 'v')).ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->WaitForBackgroundWork().ok());
+
+  const TreeShape shape = ParseTreeShape(db_->LevelsDebugString());
+  ASSERT_GE(shape.max_leveled_files, 20) << db_->LevelsDebugString();
+  // Only live tables are on disk, so the block count below is exact.
+  ASSERT_EQ(static_cast<size_t>(shape.total_files),
+            TableFiles(&env_, "/db").size());
+
+  // Warm the table and block caches: the measured scan then performs only
+  // block-cache lookups, no table opens.
+  ASSERT_EQ(static_cast<size_t>(kKeys), Dump().size());
+
+  const CacheStats before = db_->block_cache()->GetStats();
+  std::vector<std::string> returned;
+  {
+    auto iter = db_->NewIterator(ReadOptions());
+    iter->Seek(ScanKey(kKeys / 2));
+    for (int i = 0; i <= 50 && iter->Valid(); ++i) {
+      returned.push_back(iter->key().ToString());
+      if (i < 50) {
+        iter->Next();
+      }
+    }
+    ASSERT_TRUE(iter->status().ok());
+  }
+  const CacheStats after = db_->block_cache()->GetStats();
+  ASSERT_EQ(51u, returned.size());
+  EXPECT_EQ(ScanKey(kKeys / 2), returned.front());
+  EXPECT_EQ(ScanKey(kKeys / 2 + 50), returned.back());
+
+  const uint64_t lookups =
+      (after.hits + after.misses) - (before.hits + before.misses);
+  const size_t blocks = CountDataBlocksHolding(&env_, "/db", returned);
+  const uint64_t bound = static_cast<uint64_t>(
+      shape.l0_files + shape.leveled_levels + shape.tiered_runs) + blocks;
+  EXPECT_LE(lookups, bound) << "blocks=" << blocks << "\n"
+                            << db_->LevelsDebugString();
+}
+
+TEST_F(DBTest, IteratorOutlivesCompactionOfItsLevel) {
+  // An iterator does not pin its Version: CompactRange deletes every file
+  // the iterator was built over, and the files it had not reached yet must
+  // still be read through the readers it resolved when it was built.
+  options_.num_shards = 1;
+  options_.data_layout = DataLayout::kLeveling;
+  options_.target_file_size = 2 << 10;
+  options_.block_cache_capacity = 0;  // Every block comes from its file.
+  OpenDB();
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < 3000; ++i) {
+    model[ScanKey(i)] = "value" + std::to_string(i);
+    ASSERT_TRUE(Put(ScanKey(i), model[ScanKey(i)]).ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->WaitForBackgroundWork().ok());
+  ASSERT_GE(ParseTreeShape(db_->LevelsDebugString()).max_leveled_files, 20)
+      << db_->LevelsDebugString();
+
+  const std::set<std::string> tables_before = TableFiles(&env_, "/db");
+  auto iter = db_->NewIterator(ReadOptions());
+  iter->SeekToFirst();
+  std::map<std::string, std::string> seen;
+  for (int i = 0; i < 10 && iter->Valid(); ++i, iter->Next()) {
+    seen[iter->key().ToString()] = iter->value().ToString();
+  }
+
+  // Pushes every level down to the last one, rewriting and deleting every
+  // file the iterator knows.
+  ASSERT_TRUE(db_->CompactRange().ok());
+  for (const auto& name : TableFiles(&env_, "/db")) {
+    ASSERT_EQ(0u, tables_before.count(name)) << name << " survived";
+  }
+
+  for (; iter->Valid(); iter->Next()) {
+    seen[iter->key().ToString()] = iter->value().ToString();
+  }
+  ASSERT_TRUE(iter->status().ok()) << iter->status().ToString();
+  EXPECT_EQ(model, seen);
+  // A fresh iterator reads the compacted tree.
+  EXPECT_EQ(model, Dump());
+}
+
+TEST_F(DBTest, ScanReportsReadFaultPastFileBoundary) {
+  // Each table holds one data block, so after the Seek every block read is
+  // the first read of a file the scan reaches by crossing a boundary. A
+  // fault there must reach Iterator::status().
+  FaultInjectionEnv fault_env(&env_);
+  options_.env = &fault_env;
+  options_.num_shards = 1;
+  options_.data_layout = DataLayout::kLeveling;
+  options_.target_file_size = 4 << 10;
+  options_.block_size = 4 << 10;
+  options_.block_cache_capacity = 0;
+  std::unique_ptr<DB> db;  // Declared after fault_env: closes first.
+  ASSERT_TRUE(DB::Open(options_, "/db", &db).ok());
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(db->Put(WriteOptions(), ScanKey(i), std::string(64, 'v')).ok());
+  }
+  ASSERT_TRUE(db->CompactRange().ok());
+  ASSERT_GE(ParseTreeShape(db->LevelsDebugString()).max_leveled_files, 20)
+      << db->LevelsDebugString();
+
+  ReadOptions ro;
+  ro.readahead_bytes = 0;
+  auto iter = db->NewIterator(ro);
+  iter->SeekToFirst();
+  ASSERT_TRUE(iter->Valid());
+  ASSERT_EQ(ScanKey(0), iter->key().ToString());
+
+  // The next table read, whichever file it is in, fails once.
+  FaultRule rule;
+  rule.file_kinds = kFaultTable;
+  rule.ops = kFaultOpRead;
+  rule.at_op_index = 0;
+  rule.max_failures = 1;
+  fault_env.AddRule(rule);
+
+  int returned = 0;
+  std::string last;
+  for (; iter->Valid(); iter->Next()) {
+    ASSERT_LT(last, iter->key().ToString());  // Still sorted.
+    last = iter->key().ToString();
+    ++returned;
+  }
+  EXPECT_EQ(1u, fault_env.injected_faults());
+  EXPECT_TRUE(iter->status().IsIOError()) << iter->status().ToString();
+  // The fault hit a file past the first one, and only that file was lost.
+  EXPECT_GT(returned, 1);
+  EXPECT_LT(returned, 2000);
+}
+
+/// Randomized Seek/Next/SeekToFirst scans against a std::map model, over
+/// every layout at N = 1 and N = 4, on trees whose leveled levels hold many
+/// small files. With `concurrent`, a writer churns the tree (flushes and
+/// compactions that delete the files open iterators were built over) while
+/// the scans run; it rewrites keys with their model values and deletes
+/// absent keys, so the logical contents never change.
+class ScanModelSweep
+    : public ::testing::TestWithParam<std::tuple<DataLayout, int, bool>> {};
+
+std::string SweepKey(uint32_t i) {
+  // Four first bytes, one per uniform shard range at N = 4.
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "%ck%05u",
+                static_cast<char>(0x10 + 0x40 * (i % 4)), i / 4);
+  return buf;
+}
+
+TEST_P(ScanModelSweep, RandomScansMatchModel) {
+  const auto [layout, shards, concurrent] = GetParam();
+  MemEnv env;
+  Options options;
+  options.env = &env;
+  options.data_layout = layout;
+  options.num_shards = shards;
+  options.write_buffer_size = 8 << 10;
+  options.target_file_size = 1 << 10;
+  options.max_bytes_for_level_base = 16 << 10;
+  options.size_ratio = 4;
+  options.num_levels = 3;  // Lazy leveling's leveled last level fills.
+  options.block_size = 256;
+  options.background_threads = 2;
+  options.filter_policy = NewBloomFilterPolicy(10.0);
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, "/sweep", &db).ok());
+
+  constexpr uint32_t kKeys = 4000;
+  std::map<std::string, std::string> model;
+  Random rnd(static_cast<uint32_t>(layout) * 10 + shards);
+  for (int i = 0; i < 12000; ++i) {
+    const std::string key = SweepKey(rnd.Uniform(kKeys));
+    if (rnd.OneIn(8)) {
+      model.erase(key);
+      ASSERT_TRUE(db->Delete(WriteOptions(), key).ok());
+    } else {
+      model[key] = "v" + std::to_string(i) + std::string(40, 'p');
+      ASSERT_TRUE(db->Put(WriteOptions(), key, model[key]).ok());
+    }
+  }
+  ASSERT_TRUE(db->WaitForBackgroundWork().ok());
+  if (layout != DataLayout::kTiering) {
+    ASSERT_GE(ParseTreeShape(db->LevelsDebugString()).max_leveled_files, 20)
+        << db->LevelsDebugString();
+  }
+
+  // One iterator, several randomized positionings, each checked entry by
+  // entry against the model.
+  auto check_scans = [&](Random* r) {
+    auto iter = db->NewIterator(ReadOptions());
+    for (int round = 0; round < 12; ++round) {
+      auto expected = model.cbegin();
+      if (r->OneIn(6)) {
+        iter->SeekToFirst();
+      } else {
+        std::string target = SweepKey(r->Uniform(kKeys));
+        if (r->OneIn(2)) {
+          target += "~";  // Between keys.
+        }
+        iter->Seek(target);
+        expected = model.lower_bound(target);
+      }
+      const int steps = r->OneIn(10) ? static_cast<int>(kKeys)
+                                     : static_cast<int>(r->Uniform(120));
+      for (int step = 0;; ++step) {
+        if (expected == model.cend()) {
+          ASSERT_FALSE(iter->Valid()) << iter->key().ToString();
+          break;
+        }
+        ASSERT_TRUE(iter->Valid()) << "expected " << expected->first << ": "
+                                   << iter->status().ToString();
+        ASSERT_EQ(expected->first, iter->key().ToString());
+        ASSERT_EQ(expected->second, iter->value().ToString())
+            << expected->first << ": " << iter->status().ToString();
+        if (step == steps) {
+          break;
+        }
+        iter->Next();
+        ++expected;
+      }
+    }
+    ASSERT_TRUE(iter->status().ok()) << iter->status().ToString();
+  };
+
+  Random scan_rnd(77);
+  if (!concurrent) {
+    for (int i = 0; i < 20 && !HasFatalFailure(); ++i) {
+      check_scans(&scan_rnd);
+    }
+    return;
+  }
+
+  const uint64_t compactions_before = db->statistics()->compactions.load();
+  std::atomic<bool> writer_done{false};
+  std::atomic<bool> writer_failed{false};
+  std::thread writer([&] {
+    Random wrnd(99);
+    for (int i = 0; i < 8000; ++i) {
+      const std::string key = SweepKey(wrnd.Uniform(kKeys));
+      auto it = model.find(key);  // The model is read-only meanwhile.
+      Status s = it != model.end()
+                     ? db->Put(WriteOptions(), key, it->second)
+                     : db->Delete(WriteOptions(), key);
+      if (!s.ok()) {
+        writer_failed.store(true);
+        break;
+      }
+    }
+    writer_done.store(true);
+  });
+  for (int i = 0; i < 10 || !writer_done.load(); ++i) {
+    check_scans(&scan_rnd);
+    if (HasFatalFailure()) {
+      break;
+    }
+  }
+  writer.join();
+  ASSERT_FALSE(writer_failed.load());
+  ASSERT_TRUE(db->WaitForBackgroundWork().ok());
+  EXPECT_GT(db->statistics()->compactions.load(), compactions_before);
+  check_scans(&scan_rnd);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LayoutsShards, ScanModelSweep,
+    ::testing::Combine(::testing::Values(DataLayout::kLeveling,
+                                         DataLayout::kTiering,
+                                         DataLayout::kLazyLeveling,
+                                         DataLayout::kOneLeveling),
+                       ::testing::Values(1, 4), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<DataLayout, int, bool>>&
+           info) {
+      std::string name = DataLayoutName(std::get<0>(info.param));
+      for (char& c : name) {
+        if (!std::isalnum(static_cast<unsigned char>(c))) {
+          c = '_';
+        }
+      }
+      return name + "_N" + std::to_string(std::get<1>(info.param)) +
+             (std::get<2>(info.param) ? "_Concurrent" : "_Quiescent");
+    });
 
 }  // namespace
 }  // namespace lsmlab

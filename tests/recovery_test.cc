@@ -5,6 +5,7 @@
 
 #include <cstring>
 #include <map>
+#include <set>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,8 +14,10 @@
 #include "db/filename.h"
 #include "io/fault_injection_env.h"
 #include "io/mem_env.h"
+#include "util/comparator.h"
 #include "util/random.h"
 #include "version/version_edit.h"
+#include "version/version_set.h"
 
 namespace lsmlab {
 namespace {
@@ -280,6 +283,44 @@ TEST_F(RecoveryTest, RecoveryAfterCompactionKeepsOnlyLiveFiles) {
             FilesOfType(FileType::kTableFile).size());
   EXPECT_EQ(500u, db_->CountLiveEntries());
   EXPECT_TRUE(db_->ValidateTreeInvariants().ok());
+}
+
+TEST(VersionSetLiveFilesTest, PinnedVersionsStayLiveAcrossGcPasses) {
+  // Obsolete-file GC asks AddLiveFiles for every file of every version a
+  // reader still holds. The answer must not change from one pass to the
+  // next while the readers keep holding them.
+  MemEnv env;
+  Options options;
+  options.env = &env;
+  InternalKeyComparator icmp(BytewiseComparator());
+  ASSERT_TRUE(env.CreateDir("/vs").ok());
+  VersionSet versions("/vs", &options, &icmp);
+  ASSERT_TRUE(versions.CreateNew().ok());
+  // Versions 1..3, each replacing the previous one's file with its own.
+  std::vector<std::shared_ptr<const Version>> pinned;
+  for (uint64_t n = 1; n <= 3; ++n) {
+    VersionEdit edit;
+    if (n > 1) {
+      edit.RemoveFile(1, n - 1);
+    }
+    FileMetaData f;
+    f.file_number = n;
+    f.file_size = 100;
+    f.smallest = InternalKey("a", n, kTypeValue);
+    f.largest = InternalKey("b", n, kTypeValue);
+    edit.AddFile(1, f);
+    ASSERT_TRUE(versions.LogAndApply(&edit).ok());
+    pinned.push_back(versions.current());
+  }
+  for (int pass = 0; pass < 3; ++pass) {
+    std::set<uint64_t> live;
+    versions.AddLiveFiles(&live);
+    EXPECT_EQ((std::set<uint64_t>{1, 2, 3}), live) << "pass " << pass;
+  }
+  pinned.erase(pinned.begin());  // The last reader of file 1 lets go.
+  std::set<uint64_t> live;
+  versions.AddLiveFiles(&live);
+  EXPECT_EQ((std::set<uint64_t>{2, 3}), live);
 }
 
 TEST_F(RecoveryTest, OrphanCompactionOutputIsCollectedOnReopen) {
