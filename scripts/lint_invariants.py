@@ -37,6 +37,15 @@ Runs over src/ (and any extra paths given) and enforces:
       string-literal rationale — the escape hatch documents *why* I/O
       under that lock is the design, or it teaches nothing.
 
+  cpu-intrinsics
+      <nmmintrin.h>, <immintrin.h>, <x86intrin.h>, <arm_acle.h> and
+      __attribute__((target(...))) appear only in util/crc32c.cc, the one
+      place that picks a CPU-specific kernel at run time (after asking the
+      CPU) and keeps a portable fallback. Elsewhere they would make the
+      library fault on a CPU without the feature. For the same reason no
+      CMakeLists.txt under src/ may pass -march=native or -msse4.2: such a
+      flag lets the compiler use the instructions anywhere.
+
 Exit status: 0 clean, 1 findings, 2 usage/IO error.
 Usage: scripts/lint_invariants.py [path ...]   (default: src/)
 """
@@ -66,6 +75,14 @@ MEMBER_EXEMPT_RE = re.compile(
     r"(?:[\w:<>,\s*&]*\bconst\s+\w+)|Mutex\b|CondVar\b|std::atomic\b|"
     r"using\b|enum\b|struct\b|class\b|friend\b|typedef\b)")
 
+# The one file allowed to use CPU intrinsics (behind runtime dispatch).
+CPU_INTRINSICS_ALLOWLIST = {os.path.join("util", "crc32c.cc")}
+
+CPU_INTRINSICS_RE = re.compile(
+    r"#\s*include\s*<(nmmintrin|immintrin|x86intrin|arm_acle)\.h>|"
+    r"__attribute__\s*\(\(\s*target\s*\(")
+CPU_FLAG_RE = re.compile(r"-march=native|-msse4\.2")
+
 VOID_CAST_RE = re.compile(r"^\s*\(void\)")
 IO_SECTION_RE = re.compile(r"IoAllowedSection\s+\w+\s*[({]\s*(.*)")
 
@@ -75,13 +92,17 @@ def is_comment(line):
     return s.startswith("//") or s.startswith("*") or s.startswith("/*")
 
 
-def lint_file(path, rel, findings):
+def read_lines(path):
     try:
         with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
+            return f.read().splitlines()
     except OSError as e:
         print(f"error: cannot read {path}: {e}", file=sys.stderr)
         sys.exit(2)
+
+
+def lint_file(path, rel, findings):
+    lines = read_lines(path)
 
     in_block_comment = False
     mutex_block_guard = None  # Name of the Mutex whose adjacency block we're in.
@@ -156,6 +177,15 @@ def lint_file(path, rel, findings):
                      f"member adjacent to Mutex {mutex_block_guard} lacks "
                      "GUARDED_BY (or a trailing rationale comment)"))
 
+        # --- cpu-intrinsics -----------------------------------------------
+        if rel not in CPU_INTRINSICS_ALLOWLIST:
+            m = CPU_INTRINSICS_RE.search(code)
+            if m:
+                findings.append(
+                    (rel, lineno, "cpu-intrinsics",
+                     f"{m.group(0)} outside util/crc32c.cc — CPU-specific "
+                     "code needs runtime dispatch and a portable fallback"))
+
         # --- unexplained-void-cast ----------------------------------------
         if VOID_CAST_RE.match(code):
             has_rationale = "//" in line
@@ -179,11 +209,23 @@ def lint_file(path, rel, findings):
                      "IoAllowedSection needs a non-empty rationale string"))
 
 
+def lint_cmake(path, rel, findings):
+    """cpu-intrinsics, build half: no CPU-specific compile flag."""
+    for i, line in enumerate(read_lines(path)):
+        m = CPU_FLAG_RE.search(line.split("#", 1)[0])
+        if m:
+            findings.append(
+                (rel, i + 1, "cpu-intrinsics",
+                 f"{m.group(0)} lets the compiler emit CPU-specific "
+                 "instructions anywhere; dispatch at run time instead"))
+
+
 def main(argv):
     roots = argv[1:] or ["src"]
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     findings = []
     files = []
+    cmake_files = []
     for root in roots:
         root = os.path.join(repo, root) if not os.path.isabs(root) else root
         if os.path.isfile(root):
@@ -193,10 +235,14 @@ def main(argv):
             for name in sorted(names):
                 if name.endswith((".h", ".cc")):
                     files.append(os.path.join(dirpath, name))
+                elif name == "CMakeLists.txt":
+                    cmake_files.append(os.path.join(dirpath, name))
     src_root = os.path.join(repo, "src")
     for path in sorted(files):
         rel = os.path.relpath(path, src_root)
         lint_file(path, rel, findings)
+    for path in sorted(cmake_files):
+        lint_cmake(path, os.path.relpath(path, src_root), findings)
 
     for rel, lineno, rule, msg in findings:
         print(f"src/{rel}:{lineno}: [{rule}] {msg}")

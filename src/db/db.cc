@@ -16,6 +16,7 @@
 #include "util/clock.h"
 #include "util/coding.h"
 #include "util/comparator.h"
+#include "util/crc32c.h"
 #include "util/histogram.h"
 
 namespace lsmlab {
@@ -303,17 +304,20 @@ int ShardedDB::ShardForKey(const Slice& key) const {
   return k;
 }
 
-ReadOptions ShardedDB::ShardReadOptions(const ReadOptions& options,
-                                        int shard) const {
-  ReadOptions ro = options;
-  if (ro.snapshot_seqno & kSnapshotHandleBit) {
+bool ShardedDB::ShardReadOptions(const ReadOptions& options, int shard,
+                                 ReadOptions* ro) const {
+  *ro = options;
+  if (ro->snapshot_seqno & kSnapshotHandleBit) {
     MutexLock lock(&commit_mu_);
-    auto it = snapshot_handles_.find(ro.snapshot_seqno & ~kSnapshotHandleBit);
-    ro.snapshot_seqno = it != snapshot_handles_.end()
-                            ? it->second[static_cast<size_t>(shard)]
-                            : 0;
+    auto it = snapshot_handles_.find(ro->snapshot_seqno & ~kSnapshotHandleBit);
+    if (it == snapshot_handles_.end()) {
+      ro->snapshot_seqno = 0;
+    } else {
+      ro->snapshot_seqno = it->second[static_cast<size_t>(shard)];
+      return ro->snapshot_seqno != 0;
+    }
   }
-  return ro;
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -485,8 +489,11 @@ Status ShardedDB::Get(const ReadOptions& options, const Slice& key,
     return shards_[0]->Get(options, key, value);
   }
   const int k = ShardForKey(key);
-  return shards_[static_cast<size_t>(k)]->Get(ShardReadOptions(options, k),
-                                              key, value);
+  ReadOptions ro;
+  if (!ShardReadOptions(options, k, &ro)) {
+    return Status::NotFound("key not found");
+  }
+  return shards_[static_cast<size_t>(k)]->Get(ro, key, value);
 }
 
 std::vector<Status> ShardedDB::MultiGet(const ReadOptions& options,
@@ -516,11 +523,18 @@ std::vector<Status> ShardedDB::MultiGet(const ReadOptions& options,
     if (shard_keys[sk].empty()) {
       continue;
     }
+    ReadOptions ro;
+    if (!ShardReadOptions(options, k, &ro)) {
+      for (size_t i : shard_index[sk]) {
+        statuses[i] = Status::NotFound("key not found");
+      }
+      continue;
+    }
     // Each shard keeps its full batched path: one ReadView, file-by-file
     // reordering, one MultiRead submission.
     std::vector<std::string> shard_values;
-    std::vector<Status> shard_statuses = shards_[sk]->MultiGet(
-        ShardReadOptions(options, k), shard_keys[sk], &shard_values);
+    std::vector<Status> shard_statuses =
+        shards_[sk]->MultiGet(ro, shard_keys[sk], &shard_values);
     for (size_t j = 0; j < shard_index[sk].size(); ++j) {
       statuses[shard_index[sk][j]] = std::move(shard_statuses[j]);
       (*values)[shard_index[sk][j]] = std::move(shard_values[j]);
@@ -563,12 +577,15 @@ std::unique_ptr<Iterator> ShardedDB::NewIterator(const ReadOptions& options) {
   std::vector<SequenceNumber> cut(static_cast<size_t>(num_shards_), 0);
   std::vector<std::shared_ptr<const ReadView>> views(
       static_cast<size_t>(num_shards_));
+  bool at_cut = true;  // False only where 0 means "newest" (no snapshot).
   if (options.snapshot_seqno & kSnapshotHandleBit) {
     MutexLock lock(&commit_mu_);
     auto it =
         snapshot_handles_.find(options.snapshot_seqno & ~kSnapshotHandleBit);
     if (it != snapshot_handles_.end()) {
       cut = it->second;
+    } else {
+      at_cut = false;
     }
   } else if (options.snapshot_seqno != 0) {
     cut.assign(static_cast<size_t>(num_shards_), options.snapshot_seqno);
@@ -592,6 +609,12 @@ std::unique_ptr<Iterator> ShardedDB::NewIterator(const ReadOptions& options) {
   children.reserve(static_cast<size_t>(num_shards_));
   for (int k = 0; k < num_shards_; ++k) {
     const size_t sk = static_cast<size_t>(k);
+    if (at_cut && cut[sk] == 0) {
+      // The shard had no write at the cut, so nothing in it is visible;
+      // an engine iterator would read snapshot 0 as "newest".
+      children.push_back(NewEmptyIterator());
+      continue;
+    }
     ReadOptions ro = options;
     ro.snapshot_seqno = cut[sk];
     children.push_back(views[sk] != nullptr
@@ -876,9 +899,11 @@ std::string ShardedDB::DebugLevelSummary() const {
     total_runs += shard->TotalSortedRuns();
   }
   std::snprintf(buf, sizeof(buf),
-                "sharded db: %d shards, %d sorted runs, %llu sst bytes\n",
+                "sharded db: %d shards, %d sorted runs, %llu sst bytes, "
+                "crc32c=%s\n",
                 num_shards_, total_runs,
-                static_cast<unsigned long long>(total_bytes));
+                static_cast<unsigned long long>(total_bytes),
+                crc32c::BackendName());
   out += buf;
   for (int k = 0; k < num_shards_; ++k) {
     const std::string lo =

@@ -212,10 +212,13 @@ class ShardedDB {
   int ShardForKey(const Slice& key) const;
   /// Scan at N > 1: the per-shard iterators concatenated in shard order.
   class ShardIterator;
-  /// Rewrites a snapshot handle (bit 63) into shard `shard`'s pinned
-  /// sequence; passes raw sequences through.
-  ReadOptions ShardReadOptions(const ReadOptions& options, int shard) const
-      EXCLUDES(commit_mu_);
+  /// Copies `options` into `*ro` for a read of shard `shard`, rewriting a
+  /// snapshot handle (bit 63) into that shard's pinned sequence and passing
+  /// raw sequences through. Returns false when the handle's cut holds
+  /// nothing of the shard (it had no write yet): the engine reads sequence
+  /// 0 as "newest", so the caller must treat the shard as empty instead.
+  bool ShardReadOptions(const ReadOptions& options, int shard,
+                        ReadOptions* ro) const EXCLUDES(commit_mu_);
 
   /// Two-phase commit of a batch spanning `involved` shards; called with
   /// commit_mu_ held (it serializes cross-shard commits against each other

@@ -14,6 +14,7 @@
 #include "util/clock.h"
 #include "util/coding.h"
 #include "util/comparator.h"
+#include "util/crc32c.h"
 #include "util/logging.h"
 
 namespace lsmlab {
@@ -1869,6 +1870,9 @@ std::string ShardEngine::DebugLevelSummary() const {
   std::shared_ptr<const Version> v = versions_->current();
   std::string out;
   char buf[256];
+  std::snprintf(buf, sizeof(buf), "db: %d levels, crc32c=%s\n",
+                v->num_levels(), crc32c::BackendName());
+  out += buf;
   for (int level = 0; level < v->num_levels(); ++level) {
     const auto& files = v->files(level);
     uint64_t bytes = 0;

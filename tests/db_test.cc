@@ -20,6 +20,7 @@
 #include "io/mem_env.h"
 #include "table/table_reader.h"
 #include "util/comparator.h"
+#include "util/crc32c.h"
 #include "util/random.h"
 
 namespace lsmlab {
@@ -850,6 +851,9 @@ TEST_F(DBTest, BatchedMultiGetMovesIoBatchStats) {
   EXPECT_EQ(batches_after_cold, stats->io_batches.load());
 
   const std::string summary = db_->DebugLevelSummary();
+  EXPECT_NE(std::string::npos,
+            summary.find(std::string("crc32c=") + crc32c::BackendName()))
+      << summary;
   EXPECT_NE(std::string::npos, summary.find("batched io:")) << summary;
   EXPECT_NE(std::string::npos, summary.find("readahead")) << summary;
 }

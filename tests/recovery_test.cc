@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <map>
 #include <set>
@@ -14,7 +15,12 @@
 #include "db/filename.h"
 #include "io/fault_injection_env.h"
 #include "io/mem_env.h"
+#include "io/wal_format.h"
+#include "table/block.h"
+#include "table/format.h"
+#include "util/coding.h"
 #include "util/comparator.h"
+#include "util/crc32c.h"
 #include "util/random.h"
 #include "version/version_edit.h"
 #include "version/version_set.h"
@@ -535,6 +541,146 @@ TEST_F(RecoveryTest, VersionEditAcceptsConcatenatedEdits) {
   EXPECT_EQ(20u, decoded.log_number());
   EXPECT_EQ(11u, decoded.next_file_number());
   EXPECT_EQ(99u, decoded.last_sequence());
+}
+
+// ---------------------------------------------------------------------------
+// On-disk checksum format
+// ---------------------------------------------------------------------------
+
+// The checksum kernel is chosen per CPU, but what it stores is fixed: every
+// WAL record header and every table block trailer written now holds
+// Mask(crc32c) exactly as the portable table loop computes it.
+TEST_F(RecoveryTest, StoredChecksumsMatchPortableCrc32c) {
+  options_.write_buffer_size = 1 << 20;  // Keep the large record's WAL live.
+  Open();
+  for (int i = 0; i < 200; ++i) {
+    const std::string value(50 + i % 13, static_cast<char>('a' + i % 26));
+    ASSERT_TRUE(
+        db_->Put(WriteOptions(), "key" + std::to_string(i), value).ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  // One record larger than a WAL block, so it is split into fragments.
+  ASSERT_TRUE(db_->Put(WriteOptions(), "large",
+                       std::string(wal::kBlockSize + 1000, 'L'))
+                  .ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "small", "s").ok());
+  Close();
+
+  auto portable_masked = [](const char* data, size_t n) {
+    return crc32c::Mask(crc32c::internal::ExtendPortable(0, data, n));
+  };
+
+  const auto logs = FilesOfType(FileType::kLogFile);
+  ASSERT_EQ(1u, logs.size());
+  std::string log;
+  ASSERT_TRUE(ReadFileToString(&env_, logs.front(), &log).ok());
+  int records = 0;
+  for (size_t pos = 0; pos + wal::kHeaderSize <= log.size();) {
+    const size_t block_left = wal::kBlockSize - pos % wal::kBlockSize;
+    if (block_left < static_cast<size_t>(wal::kHeaderSize)) {
+      pos += block_left;  // Zero-filled block trailer.
+      continue;
+    }
+    const char* header = log.data() + pos;
+    const size_t length = static_cast<unsigned char>(header[4]) |
+                          (static_cast<unsigned char>(header[5]) << 8);
+    ASSERT_LE(pos + wal::kHeaderSize + length, log.size());
+    // The CRC covers the type byte and the payload.
+    EXPECT_EQ(portable_masked(header + 6, 1 + length), DecodeFixed32(header))
+        << "record at offset " << pos;
+    ++records;
+    pos += wal::kHeaderSize + length;
+  }
+  EXPECT_EQ(3, records);  // First and last fragment of "large", "small".
+
+  const auto tables = FilesOfType(FileType::kTableFile);
+  ASSERT_FALSE(tables.empty());
+  std::string table;
+  ASSERT_TRUE(ReadFileToString(&env_, tables.front(), &table).ok());
+  ASSERT_GE(table.size(), Footer::kEncodedLength);
+  Slice footer_input(table.data() + table.size() - Footer::kEncodedLength,
+                     Footer::kEncodedLength);
+  Footer footer;
+  ASSERT_TRUE(footer.DecodeFrom(&footer_input).ok());
+  // The trailer is a type byte then Mask(crc) over the block and that byte.
+  auto check_block = [&](const BlockHandle& handle) {
+    ASSERT_LE(handle.offset() + handle.size() + kBlockTrailerSize,
+              table.size());
+    const char* block = table.data() + handle.offset();
+    EXPECT_EQ(portable_masked(block, handle.size() + 1),
+              DecodeFixed32(block + handle.size() + 1))
+        << "block at offset " << handle.offset();
+  };
+  check_block(footer.metaindex_handle());
+  check_block(footer.index_handle());
+  Block index(std::string(table.data() + footer.index_handle().offset(),
+                          footer.index_handle().size()));
+  auto it = index.NewIterator(BytewiseComparator());
+  int data_blocks = 0;
+  for (it->SeekToFirst(); it->Valid(); it->Next()) {
+    Slice handle_input = it->value();
+    BlockHandle handle;
+    ASSERT_TRUE(handle.DecodeFrom(&handle_input).ok());
+    check_block(handle);
+    ++data_blocks;
+  }
+  EXPECT_GT(data_blocks, 1);
+}
+
+// A DB directory written by the table-loop implementation (before the
+// hardware kernel existed; tests/data/format_v1_db/README.md says how it
+// was made) still opens, replays its WAL and passes the checksum scrub.
+TEST(FormatCompatibilityTest, PortableCrcDirectoryOpensReplaysAndVerifies) {
+  const std::string fixture = std::string(LSMLAB_TEST_DATA_DIR) +
+                              "/format_v1_db";
+  Env* disk = Env::Default();
+  std::vector<std::string> children;
+  ASSERT_TRUE(disk->GetChildren(fixture, &children).ok());
+  MemEnv env;
+  ASSERT_TRUE(env.CreateDir("/v1").ok());
+  int copied = 0;
+  for (const auto& child : children) {
+    uint64_t number;
+    FileType type;
+    if (!ParseFileName(child, &number, &type)) {
+      continue;  // README.md and the like.
+    }
+    std::string contents;
+    ASSERT_TRUE(ReadFileToString(disk, fixture + "/" + child, &contents).ok());
+    ASSERT_TRUE(WriteStringToFile(&env, contents, "/v1/" + child).ok());
+    ++copied;
+  }
+  ASSERT_EQ(4, copied);  // CURRENT, MANIFEST, one WAL, one table.
+
+  Options options;
+  options.env = &env;
+  options.create_if_missing = false;
+  std::unique_ptr<DB> db;
+  Status s = DB::Open(options, "/v1", &db);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  char key[32];
+  std::string value;
+  for (int i = 0; i < 300; ++i) {
+    std::snprintf(key, sizeof(key), "key%04d", i);
+    s = db->Get(ReadOptions(), key, &value);
+    if (i == 1) {
+      EXPECT_TRUE(s.IsNotFound()) << key;  // Deleted in the WAL.
+      continue;
+    }
+    ASSERT_TRUE(s.ok()) << key << ": " << s.ToString();
+    EXPECT_EQ(i % 3 == 0 ? "wal-" + std::to_string(i * 104729)
+                         : "table-" + std::to_string(i * 7919),
+              value)
+        << key;
+  }
+  ASSERT_TRUE(db->Get(ReadOptions(), "large", &value).ok());
+  EXPECT_EQ(std::string(40000, 'x') + "end", value);
+  s = db->VerifyChecksums();
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  ReadOptions verify;
+  verify.verify_checksums = true;
+  ASSERT_TRUE(db->Get(verify, "key0002", &value).ok());
+  EXPECT_EQ("table-" + std::to_string(2 * 7919), value);
 }
 
 TEST_F(RecoveryTest, ComparatorMismatchRefusesOpen) {

@@ -18,6 +18,7 @@
 #include "db/merge_operator.h"
 #include "db/shard_directory.h"
 #include "io/mem_env.h"
+#include "util/crc32c.h"
 #include "util/random.h"
 
 namespace lsmlab {
@@ -281,6 +282,51 @@ TEST_F(ShardedDBTest, SnapshotCutsNeverSplitACrossShardBatch) {
   db->ReleaseSnapshot(snap);
 }
 
+// A shard with no write yet is at sequence 0 at the cut. Nothing in it is
+// visible there; 0 must not fall back to "newest", or a cross-shard batch
+// committed after the cut shows in that shard only.
+TEST_F(ShardedDBTest, CutAtSequenceZeroHidesLaterCrossShardBatch) {
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(
+      DB::Open(ShardedOptions(4, {"g", "n", "t"}), "/snapzero", &db).ok());
+  ASSERT_TRUE(db->Put(WriteOptions(), "apple", "old").ok());  // Shard 0.
+
+  const SequenceNumber snap = db->GetSnapshot();
+  auto iter = db->NewIterator(ReadOptions());
+
+  WriteBatch after;
+  after.Put("apple", "new");
+  after.Put("zebra", "new");  // Shard 3, still at sequence 0 at the cut.
+  ASSERT_TRUE(db->Write(WriteOptions(), &after).ok());
+
+  ReadOptions at_snap;
+  at_snap.snapshot_seqno = snap;
+  std::string value;
+  ASSERT_TRUE(db->Get(at_snap, "apple", &value).ok());
+  EXPECT_EQ("old", value);
+  EXPECT_TRUE(db->Get(at_snap, "zebra", &value).IsNotFound()) << value;
+  std::vector<std::string> values;
+  std::vector<Status> statuses =
+      db->MultiGet(at_snap, {Slice("apple"), Slice("zebra")}, &values);
+  ASSERT_TRUE(statuses[0].ok());
+  EXPECT_EQ("old", values[0]);
+  EXPECT_TRUE(statuses[1].IsNotFound()) << values[1];
+
+  const std::map<std::string, std::string> cut = {{"apple", "old"}};
+  EXPECT_EQ(cut, Dump(db.get(), snap));
+  std::map<std::string, std::string> scanned;
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+    scanned[iter->key().ToString()] = iter->value().ToString();
+  }
+  EXPECT_EQ(cut, scanned);
+  iter->Seek("u");
+  EXPECT_FALSE(iter->Valid());
+  iter.reset();
+
+  EXPECT_EQ("new", Dump(db.get())["zebra"]);
+  db->ReleaseSnapshot(snap);
+}
+
 TEST_F(ShardedDBTest, SnapshotPinsSurviveFlushAndCompaction) {
   std::unique_ptr<DB> db;
   ASSERT_TRUE(
@@ -345,6 +391,9 @@ TEST_F(ShardedDBTest, ShardedSummaryListsEveryShardOnce) {
   ASSERT_TRUE(db->Flush().ok());
   const std::string summary = db->DebugLevelSummary();
   EXPECT_NE(std::string::npos, summary.find("sharded db: 4 shards"));
+  EXPECT_NE(std::string::npos,
+            summary.find(std::string("crc32c=") + crc32c::BackendName()))
+      << summary;
   for (int k = 0; k < 4; ++k) {
     EXPECT_NE(std::string::npos,
               summary.find("shard " + std::to_string(k) + " ["))

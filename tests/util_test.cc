@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <limits>
 #include <string>
 #include <thread>
@@ -207,6 +208,87 @@ TEST(Crc32cTest, ExtendEqualsWhole) {
   uint32_t part = crc32c::Value(data.data(), 10);
   part = crc32c::Extend(part, data.data() + 10, data.size() - 10);
   EXPECT_EQ(whole, part);
+}
+
+TEST(Crc32cTest, Rfc3720Vectors) {
+  // RFC 3720 section B.4: 32 ascending and 32 descending bytes.
+  char ascending[32];
+  char descending[32];
+  for (int i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<char>(i);
+    descending[i] = static_cast<char>(31 - i);
+  }
+  EXPECT_EQ(0x46dd794eu, crc32c::Value(ascending, sizeof(ascending)));
+  EXPECT_EQ(0x113fdb5cu, crc32c::Value(descending, sizeof(descending)));
+  EXPECT_EQ(0x46dd794eu,
+            crc32c::internal::ExtendPortable(0, ascending, sizeof(ascending)));
+}
+
+// The dispatched kernel against the portable reference: every start offset
+// mod 8 (the hardware loop reads 8-byte words through memcpy), every length
+// up to 300 (tail lengths 0-7 after any number of words), a few block-sized
+// lengths, and random seeds for `init`.
+TEST(Crc32cTest, ExtendMatchesPortableAtEveryOffsetAndLength) {
+  Random rnd(301);
+  std::string buf(65536 + 8, '\0');
+  for (char& c : buf) {
+    c = static_cast<char>(rnd.Next());
+  }
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 300; ++n) {
+    lengths.push_back(n);
+  }
+  lengths.insert(lengths.end(), {4096, 4101, 65536});
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n : lengths) {
+      const char* data = buf.data() + offset;
+      const uint32_t init = rnd.Next();
+      ASSERT_EQ(crc32c::internal::ExtendPortable(0, data, n),
+                crc32c::Value(data, n))
+          << "offset=" << offset << " n=" << n;
+      ASSERT_EQ(crc32c::internal::ExtendPortable(init, data, n),
+                crc32c::Extend(init, data, n))
+          << "offset=" << offset << " n=" << n << " init=" << init;
+    }
+  }
+}
+
+TEST(Crc32cTest, ChainedExtendAtRandomCutEqualsWhole) {
+  Random rnd(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string data(1 + rnd.Uniform(5000), '\0');
+    for (char& c : data) {
+      c = static_cast<char>(rnd.Next());
+    }
+    const size_t cut = rnd.Uniform(data.size() + 1);
+    uint32_t chained = crc32c::Value(data.data(), cut);
+    chained = crc32c::Extend(chained, data.data() + cut, data.size() - cut);
+    ASSERT_EQ(crc32c::Value(data.data(), data.size()), chained)
+        << "size=" << data.size() << " cut=" << cut;
+  }
+}
+
+// A host whose CPU advertises SSE4.2 must run the hardware kernel: a silent
+// fallback to the table loop fails here instead of showing only as a
+// slowdown.
+TEST(Crc32cTest, BackendMatchesHostCpu) {
+#if defined(__x86_64__)
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  if (!cpuinfo) {
+    GTEST_SKIP() << "no /proc/cpuinfo to read the CPU flags from";
+  }
+  bool sse42 = false;
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("flags", 0) == 0) {
+      sse42 = (line + " ").find(" sse4_2 ") != std::string::npos;
+      break;
+    }
+  }
+  EXPECT_STREQ(sse42 ? "sse4.2" : "portable", crc32c::BackendName());
+#else
+  EXPECT_STREQ("portable", crc32c::BackendName());
+#endif
 }
 
 TEST(Crc32cTest, MaskRoundTrip) {
