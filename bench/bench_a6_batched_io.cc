@@ -15,7 +15,7 @@
 //   2. Cold full scan, readahead on vs off, plus a warm-cache scan pair
 //      (wall time) to show readahead costs ~nothing once blocks are cached.
 //   3. Real-file backend matrix: the same 16-read batches through
-//      PosixEnvWithBackend serial / threadpool / io_uring (when available),
+//      PosixEnvWithBackend serial / io_uring (when available),
 //      in wall time.
 //
 // Run with --smoke for a seconds-scale CI sanity pass (same code paths).
@@ -244,7 +244,6 @@ void RunBackendMatrix(const Scale& scale) {
     BatchIoBackend backend;
     const char* name;
   } kBackends[] = {{BatchIoBackend::kSerial, "serial"},
-                   {BatchIoBackend::kThreadPool, "threadpool"},
                    {BatchIoBackend::kIoUring, "io_uring"}};
   for (const auto& entry : kBackends) {
     Env* env = PosixEnvWithBackend(entry.backend);

@@ -46,6 +46,17 @@ Runs over src/ (and any extra paths given) and enforces:
       CMakeLists.txt under src/ may pass -march=native or -msse4.2: such a
       flag lets the compiler use the instructions anywhere.
 
+  env-decorators
+      Only MemEnv and PosixEnv derive from Env directly; every decorator
+      derives from EnvWrapper (io/env.h, itself the one other direct
+      subclass) and wraps its files in the *FileWrapper bases, so a new
+      Env op is forwarded in one place. No dynamic_cast to RandomAccessFile
+      or a subclass of it (found across the scanned files) appears outside
+      io/env.h, io/env.cc and io/posix_env.cc: EnvWrapper::MultiRead
+      recognises a decorator's own files by their owner pointer, and
+      PosixEnv::MultiRead extracts its fds; anywhere else such a cast is a
+      hand-written copy of that unwrap.
+
 Exit status: 0 clean, 1 findings, 2 usage/IO error.
 Usage: scripts/lint_invariants.py [path ...]   (default: src/)
 """
@@ -82,6 +93,23 @@ CPU_INTRINSICS_RE = re.compile(
     r"#\s*include\s*<(nmmintrin|immintrin|x86intrin|arm_acle)\.h>|"
     r"__attribute__\s*\(\(\s*target\s*\(")
 CPU_FLAG_RE = re.compile(r"-march=native|-msse4\.2")
+
+# Direct subclasses of Env allowed under src/.
+ENV_SUBCLASS_ALLOWLIST = {
+    ("MemEnv", os.path.join("io", "mem_env.h")),
+    ("PosixEnv", os.path.join("io", "posix_env.cc")),
+    ("EnvWrapper", os.path.join("io", "env.h")),
+}
+# Files allowed to dynamic_cast to a RandomAccessFile subclass.
+FILE_CAST_ALLOWLIST = {
+    os.path.join("io", "env.h"),
+    os.path.join("io", "env.cc"),
+    os.path.join("io", "posix_env.cc"),
+}
+CLASS_DECL_RE = re.compile(
+    r"\b(?:class|struct)\s+(\w+)(?:\s+final)?\s*:([^{;]*)\{")
+BASE_NAME_RE = re.compile(r"(?:public|protected|private)?\s*([\w:]+)")
+DYNAMIC_CAST_RE = re.compile(r"dynamic_cast\s*<\s*(?:const\s+)?([\w:]+)")
 
 VOID_CAST_RE = re.compile(r"^\s*\(void\)")
 IO_SECTION_RE = re.compile(r"IoAllowedSection\s+\w+\s*[({]\s*(.*)")
@@ -209,6 +237,50 @@ def lint_file(path, rel, findings):
                      "IoAllowedSection needs a non-empty rationale string"))
 
 
+def strip_line_comments(lines):
+    return "\n".join(line.split("//", 1)[0] for line in lines)
+
+
+def lint_env_decorators(sources, findings):
+    """env-decorators: needs every file's class graph, so runs once."""
+    bases_of = {}  # class -> [(base, rel, lineno)]
+    for rel, text in sources:
+        for m in CLASS_DECL_RE.finditer(text):
+            lineno = text.count("\n", 0, m.start()) + 1
+            for base in m.group(2).split(","):
+                b = BASE_NAME_RE.match(base.strip())
+                if b:
+                    name = b.group(1).split("::")[-1]
+                    bases_of.setdefault(m.group(1), []).append(
+                        (name, rel, lineno))
+    for cls, bases in sorted(bases_of.items()):
+        for base, rel, lineno in bases:
+            if base == "Env" and (cls, rel) not in ENV_SUBCLASS_ALLOWLIST:
+                findings.append(
+                    (rel, lineno, "env-decorators",
+                     f"{cls} derives from Env directly — derive a "
+                     "decorator from EnvWrapper (io/env.h)"))
+    file_classes = {"RandomAccessFile"}
+    grew = True
+    while grew:
+        grew = False
+        for cls, bases in bases_of.items():
+            if cls not in file_classes and any(
+                    b in file_classes for b, _, _ in bases):
+                file_classes.add(cls)
+                grew = True
+    for rel, text in sources:
+        if rel in FILE_CAST_ALLOWLIST:
+            continue
+        for m in DYNAMIC_CAST_RE.finditer(text):
+            if m.group(1).split("::")[-1] in file_classes:
+                findings.append(
+                    (rel, text.count("\n", 0, m.start()) + 1,
+                     "env-decorators",
+                     f"dynamic_cast to {m.group(1)} — EnvWrapper::MultiRead "
+                     "is the one place that unwraps decorator files"))
+
+
 def lint_cmake(path, rel, findings):
     """cpu-intrinsics, build half: no CPU-specific compile flag."""
     for i, line in enumerate(read_lines(path)):
@@ -238,9 +310,12 @@ def main(argv):
                 elif name == "CMakeLists.txt":
                     cmake_files.append(os.path.join(dirpath, name))
     src_root = os.path.join(repo, "src")
+    sources = []
     for path in sorted(files):
         rel = os.path.relpath(path, src_root)
         lint_file(path, rel, findings)
+        sources.append((rel, strip_line_comments(read_lines(path))))
+    lint_env_decorators(sources, findings)
     for path in sorted(cmake_files):
         lint_cmake(path, os.path.relpath(path, src_root), findings)
 

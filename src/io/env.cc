@@ -51,6 +51,62 @@ void Env::MultiRead(ReadRequest* reqs, size_t n) {
   }
 }
 
+void RandomAccessFileWrapper::MultiRead(ReadRequest* reqs, size_t n) const {
+  std::vector<const RandomAccessFileWrapper*> files(n, this);
+  owner_->RunBatch(files.data(), reqs, n, target_.get());
+}
+
+void EnvWrapper::MultiRead(ReadRequest* reqs, size_t n) {
+  std::vector<const RandomAccessFileWrapper*> files(n);
+  for (size_t i = 0; i < n; ++i) {
+    files[i] = dynamic_cast<const RandomAccessFileWrapper*>(reqs[i].file);
+    if (files[i] == nullptr || files[i]->owner() != this) {
+      Env::MultiRead(reqs, n);
+      return;
+    }
+  }
+  RunBatch(files.data(), reqs, n, nullptr);
+}
+
+bool EnvWrapper::BeforeBatchRead(const RandomAccessFileWrapper& /*file*/,
+                                 ReadRequest* /*req*/) {
+  return true;
+}
+
+void EnvWrapper::AfterBatchRead(const RandomAccessFileWrapper* const* /*files*/,
+                                ReadRequest* /*reqs*/, size_t /*n*/) {}
+
+void EnvWrapper::RunBatch(const RandomAccessFileWrapper* const* files,
+                          ReadRequest* reqs, size_t n,
+                          const RandomAccessFile* file_target) {
+  // The target sees copies re-pointed at the wrapped files, so the
+  // caller's requests keep naming the wrappers.
+  std::vector<ReadRequest> pass;
+  std::vector<size_t> pass_idx;
+  pass.reserve(n);
+  pass_idx.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (!BeforeBatchRead(*files[i], &reqs[i])) {
+      continue;
+    }
+    pass.push_back(reqs[i]);
+    pass.back().file = files[i]->target();
+    pass_idx.push_back(i);
+  }
+  if (!pass.empty()) {
+    if (file_target != nullptr) {
+      file_target->MultiRead(pass.data(), pass.size());
+    } else {
+      target_->MultiRead(pass.data(), pass.size());
+    }
+  }
+  for (size_t k = 0; k < pass.size(); ++k) {
+    reqs[pass_idx[k]].result = pass[k].result;
+    reqs[pass_idx[k]].status = pass[k].status;
+  }
+  AfterBatchRead(files, reqs, n);
+}
+
 Status Env::LinkFile(const std::string& src, const std::string& target) {
   // Copy fallback: correct (the two names never alias mutable state — link
   // callers only hand over immutable files) but pays the full byte copy.

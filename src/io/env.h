@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/slice.h"
@@ -90,7 +91,8 @@ class WritableFile {
 
 /// Env abstracts the storage substrate. Production code uses the POSIX Env;
 /// tests use MemEnv; measurement wraps either in CountingEnv, and device
-/// emulation wraps in LatencyEnv. All methods are thread-safe.
+/// emulation wraps in LatencyEnv (both EnvWrappers, below). All methods are
+/// thread-safe.
 class Env {
  public:
   virtual ~Env() = default;
@@ -139,13 +141,181 @@ class Env {
   virtual void MultiRead(ReadRequest* reqs, size_t n);
 };
 
+class EnvWrapper;
+
+// --- Decorator bases --------------------------------------------------------
+//
+// Every Env decorator (CountingEnv, LatencyEnv, FaultInjectionEnv) derives
+// from EnvWrapper and wraps its files in the *FileWrapper classes below. Each
+// base forwards every virtual to target(), so a decorator overrides only the
+// operations whose behaviour it changes (the LevelDB EnvWrapper idiom).
+
+/// Forwards every SequentialFile call to target().
+class SequentialFileWrapper : public SequentialFile {
+ public:
+  explicit SequentialFileWrapper(std::unique_ptr<SequentialFile> target)
+      : target_(std::move(target)) {}
+
+  SequentialFile* target() const { return target_.get(); }
+
+  Status Read(size_t n, Slice* result, char* scratch) override {
+    return target_->Read(n, result, scratch);
+  }
+  Status Skip(uint64_t n) override { return target_->Skip(n); }
+
+ private:
+  const std::unique_ptr<SequentialFile> target_;
+};
+
+/// Forwards every RandomAccessFile call to target(). `owner` is the
+/// EnvWrapper that opened the file: EnvWrapper::MultiRead recognises its own
+/// files by this pointer, and a file-level MultiRead runs the owner's batch
+/// hooks exactly as an env-level batch does.
+class RandomAccessFileWrapper : public RandomAccessFile {
+ public:
+  RandomAccessFileWrapper(std::unique_ptr<RandomAccessFile> target,
+                          EnvWrapper* owner)
+      : target_(std::move(target)), owner_(owner) {}
+
+  RandomAccessFile* target() const { return target_.get(); }
+  const EnvWrapper* owner() const { return owner_; }
+
+  Status Read(uint64_t offset, size_t n, Slice* result,
+              char* scratch) const override {
+    return target_->Read(offset, n, result, scratch);
+  }
+  void MultiRead(ReadRequest* reqs, size_t n) const override;
+
+ private:
+  const std::unique_ptr<RandomAccessFile> target_;
+  EnvWrapper* const owner_;
+};
+
+/// Forwards every WritableFile call to target().
+class WritableFileWrapper : public WritableFile {
+ public:
+  explicit WritableFileWrapper(std::unique_ptr<WritableFile> target)
+      : target_(std::move(target)) {}
+
+  WritableFile* target() const { return target_.get(); }
+
+  Status Append(const Slice& data) override { return target_->Append(data); }
+  Status Close() override { return target_->Close(); }
+  Status Flush() override { return target_->Flush(); }
+  Status Sync() override { return target_->Sync(); }
+
+ private:
+  const std::unique_ptr<WritableFile> target_;
+};
+
+/// Forwards every RandomRWFile call to target().
+class RandomRWFileWrapper : public RandomRWFile {
+ public:
+  explicit RandomRWFileWrapper(std::unique_ptr<RandomRWFile> target)
+      : target_(std::move(target)) {}
+
+  RandomRWFile* target() const { return target_.get(); }
+
+  Status Write(uint64_t offset, const Slice& data) override {
+    return target_->Write(offset, data);
+  }
+  Status Read(uint64_t offset, size_t n, Slice* result,
+              char* scratch) const override {
+    return target_->Read(offset, n, result, scratch);
+  }
+  Status Sync() override { return target_->Sync(); }
+
+ private:
+  const std::unique_ptr<RandomRWFile> target_;
+};
+
+/// Forwards every Env call to target(). Does not take ownership of it.
+class EnvWrapper : public Env {
+ public:
+  explicit EnvWrapper(Env* target) : target_(target) {}
+
+  Env* target() const { return target_; }
+
+  Status NewSequentialFile(const std::string& fname,
+                           std::unique_ptr<SequentialFile>* result) override {
+    return target_->NewSequentialFile(fname, result);
+  }
+  Status NewRandomAccessFile(
+      const std::string& fname,
+      std::unique_ptr<RandomAccessFile>* result) override {
+    return target_->NewRandomAccessFile(fname, result);
+  }
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    return target_->NewWritableFile(fname, result);
+  }
+  Status NewRandomRWFile(const std::string& fname,
+                         std::unique_ptr<RandomRWFile>* result) override {
+    return target_->NewRandomRWFile(fname, result);
+  }
+  bool FileExists(const std::string& fname) override {
+    return target_->FileExists(fname);
+  }
+  Status GetChildren(const std::string& dir,
+                     std::vector<std::string>* result) override {
+    return target_->GetChildren(dir, result);
+  }
+  Status RemoveFile(const std::string& fname) override {
+    return target_->RemoveFile(fname);
+  }
+  Status CreateDir(const std::string& dirname) override {
+    return target_->CreateDir(dirname);
+  }
+  Status RemoveDir(const std::string& dirname) override {
+    return target_->RemoveDir(dirname);
+  }
+  Status GetFileSize(const std::string& fname, uint64_t* size) override {
+    return target_->GetFileSize(fname, size);
+  }
+  Status RenameFile(const std::string& src,
+                    const std::string& target) override {
+    return target_->RenameFile(src, target);
+  }
+  Status LinkFile(const std::string& src, const std::string& target) override {
+    return target_->LinkFile(src, target);
+  }
+
+  /// When every request names a RandomAccessFileWrapper this env opened,
+  /// swaps each for its target and hands the whole cross-file batch to
+  /// target() as one submission, with the batch hooks around it. A batch
+  /// holding any other file (or none) falls back to Env::MultiRead, whose
+  /// per-file groups reach each wrapper's own MultiRead.
+  void MultiRead(ReadRequest* reqs, size_t n) override;
+
+ protected:
+  // Batch hooks, run for every batch on this env's own files — env-level
+  // and file-level alike. `file` / `files[i]` is the request's own wrapper,
+  // and requests are visited in request order.
+
+  /// Before dispatch, once per request. Returning false fails the request
+  /// (the hook sets its status) without reading it.
+  virtual bool BeforeBatchRead(const RandomAccessFileWrapper& file,
+                               ReadRequest* req);
+  /// After every dispatched request has completed, once per batch.
+  virtual void AfterBatchRead(const RandomAccessFileWrapper* const* files,
+                              ReadRequest* reqs, size_t n);
+
+ private:
+  friend class RandomAccessFileWrapper;
+
+  /// Runs the hooks around one batch on this env's own files. Submits to
+  /// `file_target` when set (a file-level batch), else to target().
+  void RunBatch(const RandomAccessFileWrapper* const* files, ReadRequest* reqs,
+                size_t n, const RandomAccessFile* file_target);
+
+  Env* const target_;
+};
+
 /// Which mechanism the POSIX env uses to execute MultiRead batches.
 enum class BatchIoBackend {
-  /// One blocking pread per request, in order (the measurement baseline).
+  /// One blocking pread per request, in order (the measurement baseline,
+  /// and the fallback when no ring is available).
   kSerial,
-  /// Requests fan out over a small dedicated I/O thread pool; the calling
-  /// thread executes one itself. Portable to any kernel.
-  kThreadPool,
   /// One io_uring submission (single io_uring_enter) for the whole batch.
   /// Linux-only; requires LSMLAB_IO_URING at build time and a kernel that
   /// accepts io_uring_setup at run time.
@@ -156,9 +326,8 @@ enum class BatchIoBackend {
 /// the CI backend matrix. Returns a process-wide singleton (do not delete),
 /// or nullptr for kIoUring when unavailable (compiled out, or the kernel /
 /// container seccomp profile refuses io_uring_setup — probed once).
-/// Env::Default() prefers io_uring and falls back to the thread pool;
-/// the LSMLAB_IO_BACKEND environment variable (serial|threadpool|uring)
-/// overrides the choice for a whole process.
+/// Env::Default() is the io_uring env when IoUringAvailable(), and the
+/// serial one otherwise.
 Env* PosixEnvWithBackend(BatchIoBackend backend);
 
 /// True when the io_uring backend is compiled in and the kernel accepts

@@ -239,6 +239,24 @@ TEST(LatencyEnvTest, ChargesVirtualTime) {
   EXPECT_GE(clock.NowMicros(), 2200u);
 }
 
+TEST(LatencyEnvTest, RandomRWFileSyncChargesOneOp) {
+  MemEnv base;
+  MockClock clock;
+  DeviceModel model;
+  model.per_op_latency_micros = 100;
+  model.bandwidth_bytes_per_sec = 1000000;  // 1 MB/s -> 1 us per byte.
+  LatencyEnv env(&base, model, &clock);
+
+  std::unique_ptr<RandomRWFile> file;
+  ASSERT_TRUE(env.NewRandomRWFile("/pages", &file).ok());
+  ASSERT_TRUE(file->Write(0, std::string(100, 'p')).ok());
+  EXPECT_EQ(200u, clock.NowMicros());
+  // An in-place page file's fsync is a device round trip too, priced like
+  // WritableFile::Sync.
+  ASSERT_TRUE(file->Sync().ok());
+  EXPECT_EQ(300u, clock.NowMicros());
+}
+
 TEST(LatencyEnvTest, DevicePresetsDiffer) {
   EXPECT_GT(DeviceModel::Hdd().per_op_latency_micros,
             DeviceModel::Ssd().per_op_latency_micros);
@@ -685,8 +703,7 @@ TEST(PosixBackendTest, AllBackendsAgreeOnBatchResults) {
   // land near/past EOF to cover short reads on every backend.
   constexpr size_t kReqs = 70;
   for (BatchIoBackend backend :
-       {BatchIoBackend::kSerial, BatchIoBackend::kThreadPool,
-        BatchIoBackend::kIoUring}) {
+       {BatchIoBackend::kSerial, BatchIoBackend::kIoUring}) {
     Env* env = PosixEnvWithBackend(backend);
     if (env == nullptr) {
       ASSERT_EQ(BatchIoBackend::kIoUring, backend);
@@ -997,6 +1014,142 @@ TEST_F(FaultInjectionEnvTest, TransientReadWindowParityThroughMultiRead) {
   const std::vector<bool> expected{false, false, true, true};
   EXPECT_EQ(expected, failure_pattern(/*batched=*/false));
   EXPECT_EQ(expected, failure_pattern(/*batched=*/true));
+}
+
+// ------------------------------------------------------- EnvWrapper ----
+
+TEST(EnvWrapperTest, StackedDecoratorsSubmitOneCrossFileBatch) {
+  // Counting over Latency over FaultInjection over MemEnv: each layer
+  // unwraps its own files, so one interleaved cross-file batch reaches
+  // MemEnv as one submission while every layer still does its per-batch
+  // work.
+  MemEnv mem;
+  FaultInjectionEnv fault(&mem, /*seed=*/99);
+  MockClock clock;
+  DeviceModel model;
+  model.per_op_latency_micros = 100;
+  model.bandwidth_bytes_per_sec = 1000000;  // 1 MB/s -> 1 us per byte.
+  LatencyEnv latency(&fault, model, &clock);
+  CountingEnv counting(&latency);
+
+  const std::string names[] = {"/000041.sst", "/000042.sst", "/000043.sst"};
+  std::string contents[3];
+  std::unique_ptr<RandomAccessFile> files[3];
+  for (size_t f = 0; f < 3; ++f) {
+    contents[f] = std::string(64, static_cast<char>('a' + f));
+    for (size_t i = 0; i < contents[f].size(); ++i) {
+      contents[f][i] = static_cast<char>(contents[f][i] + (i % 8));
+    }
+    ASSERT_TRUE(WriteStringToFile(&mem, contents[f], names[f]).ok());
+    ASSERT_TRUE(counting.NewRandomAccessFile(names[f], &files[f]).ok());
+  }
+
+  constexpr size_t kReqs = 16;
+  constexpr size_t kLen = 4;
+  char bufs[kReqs][kLen];
+  ReadRequest reqs[kReqs];
+  auto reset = [&] {
+    for (size_t i = 0; i < kReqs; ++i) {
+      reqs[i] = ReadRequest();
+      reqs[i].file = files[i % 3].get();
+      reqs[i].offset = (i * 4) % 60;
+      reqs[i].len = kLen;
+      reqs[i].scratch = bufs[i];
+    }
+  };
+
+  reset();
+  const uint64_t before = clock.NowMicros();
+  counting.MultiRead(reqs, kReqs);
+  IoStats stats = counting.GetStats();
+  EXPECT_EQ(kReqs, stats.read_ops);
+  EXPECT_EQ(kReqs * kLen, stats.bytes_read);
+  EXPECT_EQ(1u, stats.multiread_batches);
+  // One per-op latency for the whole batch plus the total transfer.
+  EXPECT_EQ(before + 100 + kReqs * kLen, clock.NowMicros());
+  for (size_t i = 0; i < kReqs; ++i) {
+    ASSERT_TRUE(reqs[i].status.ok()) << "request " << i;
+    EXPECT_EQ(contents[i % 3].substr(reqs[i].offset, kLen),
+              reqs[i].result.ToString())
+        << "request " << i;
+  }
+
+  // A scripted read fault fails the request a serial Read loop would fail.
+  // Per-file grouping would fail request 15 (the 6th read of file 0)
+  // instead of request 5.
+  FaultRule rule;
+  rule.ops = kFaultOpRead;
+  rule.at_op_index = 5;
+  fault.AddRule(rule);
+  reset();
+  std::vector<bool> serial_ok;
+  for (size_t i = 0; i < kReqs; ++i) {
+    Slice result;
+    serial_ok.push_back(
+        reqs[i].file->Read(reqs[i].offset, kLen, &result, bufs[i]).ok());
+  }
+  std::vector<bool> expected(kReqs, true);
+  expected[5] = false;
+  ASSERT_EQ(expected, serial_ok);
+
+  fault.ClearRules();
+  fault.AddRule(rule);  // Re-armed: its matched-op counter restarts at 0.
+  reset();
+  counting.ResetStats();
+  counting.MultiRead(reqs, kReqs);
+  std::vector<bool> batched_ok;
+  for (const auto& req : reqs) {
+    batched_ok.push_back(req.status.ok());
+  }
+  EXPECT_EQ(serial_ok, batched_ok);
+  EXPECT_EQ(kReqs - 1, counting.GetStats().read_ops);
+  EXPECT_EQ(1u, counting.GetStats().multiread_batches);
+}
+
+TEST(EnvWrapperTest, FileMultiReadIgnoresRequestFile) {
+  // RandomAccessFile::MultiRead reads from `this` and promises to ignore
+  // req.file, so a batch with null files must match serial Reads through
+  // every wrapper file.
+  MemEnv mem;
+  const std::string content = "0123456789abcdefghijklmnopqrstuv";
+  ASSERT_TRUE(WriteStringToFile(&mem, content, "/000050.sst").ok());
+
+  auto check = [&](const RandomAccessFile& file, const char* label) {
+    constexpr size_t kReqs = 4;
+    char bufs[kReqs][8];
+    char serial_buf[8];
+    ReadRequest reqs[kReqs];
+    for (size_t i = 0; i < kReqs; ++i) {
+      reqs[i].file = nullptr;
+      reqs[i].offset = i * 9;  // The last one runs short at EOF.
+      reqs[i].len = 8;
+      reqs[i].scratch = bufs[i];
+    }
+    file.MultiRead(reqs, kReqs);
+    for (size_t i = 0; i < kReqs; ++i) {
+      Slice serial;
+      ASSERT_TRUE(file.Read(reqs[i].offset, 8, &serial, serial_buf).ok());
+      ASSERT_TRUE(reqs[i].status.ok()) << label << " request " << i;
+      EXPECT_EQ(serial.ToString(), reqs[i].result.ToString())
+          << label << " request " << i;
+    }
+  };
+
+  CountingEnv counting(&mem);
+  MockClock clock;
+  LatencyEnv latency(&mem, DeviceModel::Ssd(), &clock);
+  FaultInjectionEnv fault(&mem);
+  std::unique_ptr<RandomAccessFile> file;
+  ASSERT_TRUE(counting.NewRandomAccessFile("/000050.sst", &file).ok());
+  check(*file, "counting");
+  ASSERT_TRUE(latency.NewRandomAccessFile("/000050.sst", &file).ok());
+  check(*file, "latency");
+  ASSERT_TRUE(fault.NewRandomAccessFile("/000050.sst", &file).ok());
+  check(*file, "fault");
+  ASSERT_TRUE(mem.NewRandomAccessFile("/000050.sst", &file).ok());
+  ReadaheadRandomAccessFile readahead(file.get(), /*initial_readahead=*/16,
+                                      /*max_readahead=*/64);
+  check(readahead, "readahead");
 }
 
 // ------------------------------------------------------ ReadaheadFile ----

@@ -9,6 +9,7 @@
 // non-Release build; see LSMLAB_LOCK_RANK in CMakeLists.txt).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <map>
 #include <memory>
@@ -18,7 +19,6 @@
 #include "db/db.h"
 #include "db/write_batch.h"
 #include "io/env.h"
-#include "io/lock_checking_env.h"
 #include "io/mem_env.h"
 #include "util/lock_rank.h"
 #include "util/mutex.h"
@@ -126,10 +126,9 @@ TEST(LockRankDeathTest, TryLockOutOfOrderDoesNotAbort) {
 TEST(LockRankDeathTest, FsyncUnderEngineMuAborts) {
   ASSERT_DEATH(
       {
-        // The scripted LockCheckingEnv case from ISSUE 8: an fsync while a
-        // lock ranked like ShardEngine::mu_ is held must be caught.
-        MemEnv base;
-        LockCheckingEnv env(&base);
+        // An fsync while a lock ranked like ShardEngine::mu_ is held must
+        // be caught.
+        MemEnv env;  // MemEnv carries the detector hooks directly.
         std::unique_ptr<WritableFile> file;
         ASSERT_TRUE(env.NewWritableFile("/wal", &file).ok());
         ASSERT_TRUE(file->Append("payload").ok());
@@ -156,9 +155,34 @@ TEST(LockRankDeathTest, ReadUnderLeafLockAborts) {
       "I/O under lock: Read");
 }
 
+TEST(LockRankDeathTest, PosixCrossFileBatchUnderEngineMuAborts) {
+  // Env::MultiRead is the production MultiGet batch path; on POSIX it
+  // bypasses the file-level MultiRead, so the env itself must check.
+  ASSERT_DEATH(
+      {
+        Env* env = PosixEnvWithBackend(BatchIoBackend::kSerial);
+        const std::string fname = ::testing::TempDir() +
+                                  "lsmlab_lock_rank_multiread_" +
+                                  std::to_string(::getpid());
+        ASSERT_TRUE(WriteStringToFile(env, "contents", fname).ok());
+        std::unique_ptr<RandomAccessFile> file;
+        ASSERT_TRUE(env->NewRandomAccessFile(fname, &file).ok());
+        // The child aborts below, so the file is removed before the I/O.
+        ASSERT_TRUE(env->RemoveFile(fname).ok());
+        char scratch[8];
+        ReadRequest req;
+        req.file = file.get();
+        req.len = sizeof(scratch);
+        req.scratch = scratch;
+        Mutex engine_mu(LockRank::kEngineMu, "death.io_engine_mu");
+        engine_mu.Lock();
+        env->MultiRead(&req, 1);
+      },
+      "I/O under lock: MultiRead");
+}
+
 TEST(LockRankTest, IoAllowedSectionSuppressesDetector) {
-  MemEnv base;
-  LockCheckingEnv env(&base);
+  MemEnv env;
   std::unique_ptr<WritableFile> file;
   ASSERT_TRUE(env.NewWritableFile("/manifest", &file).ok());
   Mutex vs_mu(LockRank::kVersionSet, "test.version_set_mu");
