@@ -120,7 +120,7 @@ uint64_t CachedGetMicros(TableReader* reader, uint64_t keys,
     }
   }
   Random rnd(0xa8);
-  std::string ikey, entry_key, entry_value;
+  std::string ikey, entry_value;
   const uint64_t start = SystemClock()->NowMicros();
   for (uint64_t i = 0; i < lookups; ++i) {
     ikey.clear();
@@ -128,7 +128,8 @@ uint64_t CachedGetMicros(TableReader* reader, uint64_t keys,
                       ParsedInternalKey(BenchKey(rnd.Uniform(keys)),
                                         kMaxSequenceNumber, kValueTypeForSeek));
     bool found = false;
-    BenchCheck(reader->InternalGet(ReadOptions(), ikey, &found, &entry_key,
+    ValueType type;
+    BenchCheck(reader->InternalGet(ReadOptions(), ikey, &found, &type,
                                    &entry_value),
                "InternalGet");
     if (!found) {

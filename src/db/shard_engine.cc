@@ -1082,34 +1082,39 @@ void ShardEngine::PublishReadView() {
   view->imms.assign(imms_.rbegin(), imms_.rend());  // Newest first.
   view->version = versions_->current();
   view->published_sequence = versions_->last_sequence();
-  {
-    MutexLock lock(&read_view_mu_);
-    read_view_ = std::move(view);
+  std::shared_ptr<const ReadView> shared = std::move(view);
+  for (ReadViewStripe& stripe : read_view_stripes_) {
+    // A fresh control block per stripe; its deleter holds the one view.
+    std::shared_ptr<const ReadView> ref(shared.get(),
+                                        [shared](const ReadView*) {});
+    {
+      MutexLock lock(&stripe.mu);
+      stripe.view.swap(ref);
+    }
+    // `ref` now holds the stripe's previous view; it is dropped here,
+    // outside the stripe lock.
   }
   stats_->read_views_published.fetch_add(1, std::memory_order_relaxed);
 }
 
 Status ShardEngine::GetTableReader(const FileMetaData& f,
-                          std::shared_ptr<TableReader>* reader) {
+                                   TableReader** reader) {
+  // VersionSetBuilder::Build gives every file of an installed Version a pin.
   TableHandle* handle = f.table_handle.get();
-  if (handle != nullptr) {
-    MutexLock lock(&handle->mu);
-    if (handle->reader != nullptr) {
-      *reader = handle->reader;
-      stats_->table_cache_hits.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
-    }
+  assert(handle != nullptr);
+  *reader = handle->reader();
+  if (*reader != nullptr) {
+    stats_->table_cache_hits.fetch_add(1, std::memory_order_relaxed);
+    return Status::OK();
   }
-  // Resolve through the sharded cache with no handle lock held (the open
-  // does real I/O on a cold file, and leaf locks never nest).
+  // Resolve through the sharded cache with no lock held (the open does
+  // real I/O on a cold file), then publish; racing resolvers fetched the
+  // same cache entry, and the first publication wins.
+  std::shared_ptr<TableReader> opened;
   Status s = table_cache_->GetReader(cache_dir_id_, f.file_number,
-                                     f.file_size, reader);
-  if (s.ok() && handle != nullptr) {
-    MutexLock lock(&handle->mu);
-    if (handle->reader == nullptr) {
-      // Racing resolvers fetched the same cache entry; first store wins.
-      handle->reader = *reader;
-    }
+                                     f.file_size, &opened);
+  if (s.ok()) {
+    *reader = handle->Publish(std::move(opened));
   }
   return s;
 }
@@ -1119,16 +1124,15 @@ Status ShardEngine::GetTableReader(const FileMetaData& f,
 // ---------------------------------------------------------------------------
 
 Status ShardEngine::ResolveValue(const Slice& user_key, ValueType type,
-                        const std::string& raw, std::string* value) {
-  if (type == kTypeVlogPointer) {
-    VlogPointer ptr;
-    if (vlog_ == nullptr || !ptr.DecodeFrom(raw)) {
-      return Status::Corruption("bad vlog pointer");
-    }
-    return vlog_->Read(ptr, user_key, value);
+                                 std::string* value) {
+  if (type != kTypeVlogPointer) {
+    return Status::OK();  // The stored value is the value.
   }
-  *value = raw;
-  return Status::OK();
+  VlogPointer ptr;
+  if (vlog_ == nullptr || !ptr.DecodeFrom(*value)) {
+    return Status::Corruption("bad vlog pointer");
+  }
+  return vlog_->Read(ptr, user_key, value);
 }
 
 Status ShardEngine::ResolveMerge(const ReadOptions& options, const ReadView& view,
@@ -1165,8 +1169,9 @@ Status ShardEngine::ResolveMerge(const ReadOptions& options, const ReadView& vie
     if (parsed.type == kTypeDeletion || parsed.type == kTypeSingleDeletion) {
       deleted = true;
     } else {
-      Status s = ResolveValue(parsed.user_key, parsed.type,
-                              iter->value().ToString(), &base_storage);
+      Slice stored = iter->value();
+      base_storage.assign(stored.data(), stored.size());
+      Status s = ResolveValue(parsed.user_key, parsed.type, &base_storage);
       if (!s.ok()) {
         return s;
       }
@@ -1200,88 +1205,72 @@ Status ShardEngine::Get(const ReadOptions& options, const Slice& key,
                std::string* value) {
   stats_->point_lookups.fetch_add(1, std::memory_order_relaxed);
 
-  // Steady-state Get takes no DB-wide mutex: one atomic load pins the whole
-  // read state (memtables + version), one atomic load picks the snapshot.
-  // A published last_sequence implies the covered write is already visible
-  // in the view (the write committed before publication, and view stores
-  // are release-ordered), so this pair can never miss a completed write.
+  // Steady-state Get takes no DB-wide mutex: one copy under this thread's
+  // view stripe pins the whole read state (memtables + version), one atomic
+  // load picks the snapshot. A published last_sequence implies the covered
+  // write is already visible in the view (the write committed before
+  // publication, and view stores are release-ordered), so this pair can
+  // never miss a completed write.
   std::shared_ptr<const ReadView> view = AcquireReadView();
   SequenceNumber snapshot = options.snapshot_seqno != 0
                                 ? options.snapshot_seqno
                                 : versions_->last_sequence();
 
   LookupKey lkey(key, snapshot);
-  std::string raw;
   ValueType type;
-
-  // 1. Active memtable.
-  if (view->mem->Get(lkey, &raw, &type)) {
-    if (type == kTypeDeletion || type == kTypeSingleDeletion) {
-      return Status::NotFound("key deleted");
-    }
-    stats_->point_lookup_found.fetch_add(1, std::memory_order_relaxed);
-    if (type == kTypeMerge) {
-      return ResolveMerge(options, *view, key, snapshot, value);
-    }
-    return ResolveValue(key, type, raw, value);
-  }
+  // Every source writes a found value straight into `*value`; tombstones
+  // leave it untouched.
+  bool found = view->mem->Get(lkey, value, &type);  // 1. Active memtable.
   // 2. Immutable memtables, newest first.
-  for (const auto& imm : view->imms) {
-    if (imm->Get(lkey, &raw, &type)) {
-      if (type == kTypeDeletion || type == kTypeSingleDeletion) {
-        return Status::NotFound("key deleted");
-      }
-      stats_->point_lookup_found.fetch_add(1, std::memory_order_relaxed);
-      if (type == kTypeMerge) {
-        return ResolveMerge(options, *view, key, snapshot, value);
-      }
-      return ResolveValue(key, type, raw, value);
-    }
+  for (auto imm = view->imms.begin(); !found && imm != view->imms.end();
+       ++imm) {
+    found = (*imm)->Get(lkey, value, &type);
   }
 
   // 3. Disk levels, shallow to deep; within a tiered level newest run first
-  // (tutorial §2.1.2 get path). Filters gate every run probe (§2.1.3).
+  // (tutorial §2.1.2 get path). Filters gate every run probe (§2.1.3). The
+  // view's Version pins every file it holds, so readers are raw pointers.
   const Version* version = view->version.get();
-  for (int level = 0; level < version->num_levels(); ++level) {
-    for (const FileMetaData* f : version->FilesContaining(level, key)) {
-      std::shared_ptr<TableReader> reader;
-      Status s = GetTableReader(*f, &reader);
+  Status s;
+  for (int level = 0; !found && s.ok() && level < version->num_levels();
+       ++level) {
+    version->ForEachFileContaining(level, key, [&](const FileMetaData& f) {
+      TableReader* reader = nullptr;
+      s = GetTableReader(f, &reader);
       if (!s.ok()) {
-        return s;
+        return false;
       }
       if (reader->KeyDefinitelyAbsent(key)) {
         stats_->runs_skipped_by_filter.fetch_add(1, std::memory_order_relaxed);
-        continue;
+        return true;
       }
       stats_->runs_probed.fetch_add(1, std::memory_order_relaxed);
-
-      bool found;
-      std::string entry_key;
-      s = reader->InternalGet(options, lkey.internal_key(), &found,
-                              &entry_key, &raw);
-      if (!s.ok()) {
-        return s;
+      s = reader->InternalGet(options, lkey.internal_key(), &found, &type,
+                              value);
+      if (!s.ok() || found) {
+        return false;
       }
-      if (!found) {
-        if (reader->has_filter()) {
-          // The filter said "maybe" but the run lacked the key.
-          stats_->filter_false_positives.fetch_add(1,
-                                                  std::memory_order_relaxed);
-        }
-        continue;
+      if (reader->has_filter()) {
+        // The filter said "maybe" but the run lacked the key.
+        stats_->filter_false_positives.fetch_add(1, std::memory_order_relaxed);
       }
-      ValueType found_type = ExtractValueType(entry_key);
-      if (found_type == kTypeDeletion || found_type == kTypeSingleDeletion) {
-        return Status::NotFound("key deleted");
-      }
-      stats_->point_lookup_found.fetch_add(1, std::memory_order_relaxed);
-      if (found_type == kTypeMerge) {
-        return ResolveMerge(options, *view, key, snapshot, value);
-      }
-      return ResolveValue(key, found_type, raw, value);
-    }
+      return true;
+    });
   }
-  return Status::NotFound("key not found");
+  if (!s.ok()) {
+    return s;
+  }
+  if (!found) {
+    return Status::NotFound("key not found");
+  }
+  if (type == kTypeDeletion || type == kTypeSingleDeletion) {
+    return Status::NotFound("key deleted");
+  }
+  stats_->point_lookup_found.fetch_add(1, std::memory_order_relaxed);
+  if (type == kTypeMerge) {
+    return ResolveMerge(options, *view, key, snapshot, value);
+  }
+  return ResolveValue(key, type, value);
 }
 
 std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
@@ -1308,11 +1297,11 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
   struct KeyState {
     LookupKey lkey;
     bool done = false;
-    /// Readers that may hold this key, in probe order (level-major, run
-    /// order within a level) — filled in phase B, drained in phase C.
-    std::vector<TableReader*> probes;
-    /// Phase C (batched) cursor into `probes`.
+    /// This key's probes are probe_readers[next_probe, probe_end), in
+    /// probe order (level-major, run order within a level): laid out after
+    /// phase B, drained in phase C.
     size_t next_probe = 0;
+    size_t probe_end = 0;
     explicit KeyState(const Slice& key, SequenceNumber seq)
         : lkey(key, seq) {}
   };
@@ -1322,8 +1311,9 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
     states.emplace_back(key, snapshot);
   }
 
-  // Finishes key i with the entry found for it (any source).
-  auto resolve_entry = [&](size_t i, ValueType type, const std::string& raw) {
+  // Finishes key i with the entry found for it (any source); every source
+  // already wrote a found value into (*values)[i].
+  auto resolve_entry = [&](size_t i, ValueType type) {
     states[i].done = true;
     if (type == kTypeDeletion || type == kTypeSingleDeletion) {
       statuses[i] = Status::NotFound("key deleted");
@@ -1335,22 +1325,21 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
           ResolveMerge(options, *view, keys[i], snapshot, &(*values)[i]);
       return;
     }
-    statuses[i] = ResolveValue(keys[i], type, raw, &(*values)[i]);
+    statuses[i] = ResolveValue(keys[i], type, &(*values)[i]);
   };
 
   // Phase A: memtables (active, then immutables newest first). Keys
   // resolved here never touch disk at all.
   size_t remaining = n;
   for (size_t i = 0; i < n; ++i) {
-    std::string raw;
     ValueType type;
-    bool hit = view->mem->Get(states[i].lkey, &raw, &type);
+    bool hit = view->mem->Get(states[i].lkey, &(*values)[i], &type);
     for (auto imm = view->imms.begin(); !hit && imm != view->imms.end();
          ++imm) {
-      hit = (*imm)->Get(states[i].lkey, &raw, &type);
+      hit = (*imm)->Get(states[i].lkey, &(*values)[i], &type);
     }
     if (hit) {
-      resolve_entry(i, type, raw);
+      resolve_entry(i, type);
       --remaining;
     }
   }
@@ -1359,37 +1348,58 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
   // file's reader a single time and running every relevant filter check
   // before any data-block I/O. Keys surviving the filter are queued on the
   // file in probe order; a key queued on files of two levels probes the
-  // shallower one first, preserving Get's newest-wins semantics.
-  std::vector<std::shared_ptr<TableReader>> pinned_readers;
+  // shallower one first, preserving Get's newest-wins semantics. The
+  // view's Version pins every file, so readers are raw pointers.
+  struct Probe {
+    size_t key;
+    TableReader* reader;
+  };
+  std::vector<Probe> level_major;
   const Version* version = view->version.get();
   for (int level = 0; remaining > 0 && level < version->num_levels();
        ++level) {
-    // FilesContaining returns probe order per key; iterating keys per file
-    // keeps that order because a level's files are visited in stored order
-    // for leveled levels and newest-run-first for tiered ones.
+    // ForEachFileContaining walks probe order per key; iterating keys per
+    // file keeps that order because a level's files are visited in stored
+    // order for leveled levels and newest-run-first for tiered ones.
     for (size_t i = 0; i < n; ++i) {
       if (states[i].done) {
         continue;
       }
-      for (const FileMetaData* f :
-           version->FilesContaining(level, keys[i])) {
-        std::shared_ptr<TableReader> reader;
-        Status s = GetTableReader(*f, &reader);
-        if (!s.ok()) {
-          statuses[i] = s;
-          states[i].done = true;
-          --remaining;
-          break;
-        }
-        if (reader->KeyDefinitelyAbsent(keys[i])) {
-          stats_->runs_skipped_by_filter.fetch_add(1,
-                                                  std::memory_order_relaxed);
-          continue;
-        }
-        states[i].probes.push_back(reader.get());
-        pinned_readers.push_back(std::move(reader));
-      }
+      version->ForEachFileContaining(
+          level, keys[i], [&](const FileMetaData& f) {
+            TableReader* reader = nullptr;
+            Status s = GetTableReader(f, &reader);
+            if (!s.ok()) {
+              statuses[i] = s;
+              states[i].done = true;
+              --remaining;
+              return false;
+            }
+            if (reader->KeyDefinitelyAbsent(keys[i])) {
+              stats_->runs_skipped_by_filter.fetch_add(
+                  1, std::memory_order_relaxed);
+              return true;
+            }
+            level_major.push_back(Probe{i, reader});
+            return true;
+          });
     }
+  }
+  // Regroup the probes per key, keeping each key's probe order (a stable
+  // counting sort): key i's probes land in probe_readers[next_probe,
+  // probe_end).
+  std::vector<TableReader*> probe_readers(level_major.size());
+  for (const Probe& p : level_major) {
+    ++states[p.key].probe_end;
+  }
+  size_t offset = 0;
+  for (KeyState& st : states) {
+    st.next_probe = offset;
+    offset += st.probe_end;
+    st.probe_end = st.next_probe;
+  }
+  for (const Probe& p : level_major) {
+    probe_readers[states[p.key].probe_end++] = p.reader;
   }
 
   // Phase C (batched, the ReadOptions::batched_io default): rounds of one
@@ -1423,8 +1433,8 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
       for (size_t i : active) {
         KeyState& st = states[i];
         bool waiting = false;
-        while (st.next_probe < st.probes.size()) {
-          TableReader* reader = st.probes[st.next_probe];
+        while (st.next_probe < st.probe_end) {
+          TableReader* reader = probe_readers[st.next_probe];
           stats_->runs_probed.fetch_add(1, std::memory_order_relaxed);
           BlockHandle handle;
           Status s;
@@ -1445,17 +1455,16 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
           auto cached = reader->LookupCachedBlock(handle.offset());
           if (cached != nullptr) {
             bool found;
-            std::string entry_key;
-            std::string raw;
+            ValueType type;
             Status bs = reader->SearchBlock(*cached, st.lkey.internal_key(),
-                                            &found, &entry_key, &raw);
+                                            &found, &type, &(*values)[i]);
             if (!bs.ok()) {
               statuses[i] = bs;
               st.done = true;
               break;
             }
             if (found) {
-              resolve_entry(i, ExtractValueType(entry_key), raw);
+              resolve_entry(i, type);
               break;
             }
             if (reader->has_filter()) {
@@ -1526,21 +1535,20 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
             st.done = true;
             continue;
           }
-          TableReader* reader = st.probes[st.next_probe];
+          TableReader* reader = probe_readers[st.next_probe];
           bool found;
-          std::string entry_key;
-          std::string raw;
+          ValueType type;
           Status bs =
               reader->SearchBlock(*blocks[p.read_index],
-                                  st.lkey.internal_key(), &found, &entry_key,
-                                  &raw);
+                                  st.lkey.internal_key(), &found, &type,
+                                  &(*values)[p.key]);
           if (!bs.ok()) {
             statuses[p.key] = bs;
             st.done = true;
             continue;
           }
           if (found) {
-            resolve_entry(p.key, ExtractValueType(entry_key), raw);
+            resolve_entry(p.key, type);
             continue;
           }
           if (reader->has_filter()) {
@@ -1548,7 +1556,7 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
                                                     std::memory_order_relaxed);
           }
           ++st.next_probe;
-          if (st.next_probe < st.probes.size()) {
+          if (st.next_probe < st.probe_end) {
             next_active.push_back(p.key);
           } else {
             statuses[p.key] = Status::NotFound("key not found");
@@ -1571,13 +1579,13 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
       continue;
     }
     bool resolved = false;
-    for (TableReader* reader : states[i].probes) {
+    for (size_t p = states[i].next_probe; p < states[i].probe_end; ++p) {
+      TableReader* reader = probe_readers[p];
       stats_->runs_probed.fetch_add(1, std::memory_order_relaxed);
       bool found;
-      std::string entry_key;
-      std::string raw;
+      ValueType type;
       Status s = reader->InternalGet(options, states[i].lkey.internal_key(),
-                                     &found, &entry_key, &raw);
+                                     &found, &type, &(*values)[i]);
       if (!s.ok()) {
         statuses[i] = s;
         resolved = true;
@@ -1590,7 +1598,7 @@ std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
         }
         continue;
       }
-      resolve_entry(i, ExtractValueType(entry_key), raw);
+      resolve_entry(i, type);
       resolved = true;
       break;
     }
@@ -1626,10 +1634,12 @@ std::unique_ptr<Iterator> ShardEngine::NewInternalIterator(const ReadOptions& op
     }
     std::vector<std::shared_ptr<TableReader>> readers(files.size());
     for (size_t i = 0; i < files.size(); ++i) {
-      Status s = GetTableReader(files[i], &readers[i]);
+      TableReader* reader = nullptr;
+      Status s = GetTableReader(files[i], &reader);
       if (!s.ok()) {
         return NewEmptyIterator(s);
       }
+      readers[i] = files[i].table_handle->owner();  // Outlives the view.
     }
     if (level > 0 && !view.version->IsTieredLevel(level)) {
       children.push_back(std::make_unique<LevelIterator>(
@@ -1733,8 +1743,9 @@ class ShardEngine::DBIter final : public Iterator {
       }
       // Newest visible version of a live key.
       current_key_ = parsed.user_key.ToString();
+      Slice stored = iter_->value();
+      current_value_.assign(stored.data(), stored.size());
       Status s = db_->ResolveValue(parsed.user_key, parsed.type,
-                                   iter_->value().ToString(),
                                    &current_value_);
       if (!s.ok()) {
         status_ = s;
@@ -1780,8 +1791,10 @@ class ShardEngine::DBIter final : public Iterator {
         // Chain bottoms out at a tombstone: merge over nothing.
         break;
       }
+      Slice stored = iter_->value();
+      base_storage.assign(stored.data(), stored.size());
       Status s = db_->ResolveValue(parsed.user_key, parsed.type,
-                                   iter_->value().ToString(), &base_storage);
+                                   &base_storage);
       if (!s.ok()) {
         status_ = s;
         return false;

@@ -1,6 +1,7 @@
 #ifndef LSMLAB_DB_SHARD_ENGINE_H_
 #define LSMLAB_DB_SHARD_ENGINE_H_
 
+#include <array>
 #include <atomic>
 #include <deque>
 #include <map>
@@ -28,6 +29,7 @@
 #include "util/rate_limiter.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
+#include "util/thread_stripe.h"
 #include "version/version_set.h"
 
 namespace lsmlab {
@@ -35,15 +37,15 @@ namespace lsmlab {
 /// An immutable snapshot of everything a point lookup or iterator needs:
 /// the active memtable, the immutable memtables (newest first — probe
 /// order), the current Version, and the newest sequence published when the
-/// view was built. Reference-counted and swapped behind a dedicated
-/// pointer-sized leaf lock, so readers acquire a consistent view with one
-/// shared_ptr copy instead of locking the DB mutex and copying vectors.
-/// (A std::atomic<shared_ptr> would read nicer but is a hidden spinlock in
-/// libstdc++ whose relaxed unlock trips ThreadSanitizer; an explicit leaf
-/// mutex costs the same two atomic ops and is model-clean.) The shared_ptrs
-/// inside double as lifetime pins: a reader holding a stale view keeps its
-/// memtables and SSTables alive even after a flush or compaction replaced
-/// them.
+/// view was built. Reference-counted and published into per-thread stripes
+/// (see ShardEngine::AcquireReadView), so readers acquire a consistent view
+/// with one shared_ptr copy under their stripe's leaf lock instead of
+/// locking the DB mutex and copying vectors. (A std::atomic<shared_ptr>
+/// would read nicer but is a hidden spinlock in libstdc++ whose relaxed
+/// unlock trips ThreadSanitizer; an explicit leaf mutex costs the same two
+/// atomic ops and is model-clean.) The shared_ptrs inside double as
+/// lifetime pins: a reader holding a stale view keeps its memtables and
+/// SSTables alive even after a flush or compaction replaced them.
 struct ReadView {
   std::shared_ptr<MemTable> mem;
   /// Immutable memtables, newest first.
@@ -187,12 +189,14 @@ class ShardEngine {
   std::unique_ptr<Iterator> NewIterator(const ReadOptions& options,
                                         const ReadView& view);
 
-  /// One pointer copy under the dedicated view lock. Never null after
+  /// One pointer copy under the calling thread's view stripe lock. Threads
+  /// on different stripes share no lock and no reference count, so
+  /// concurrent readers write no common cache line here. Never null after
   /// Initialize succeeds.
-  std::shared_ptr<const ReadView> AcquireReadView() const
-      EXCLUDES(read_view_mu_) {
-    MutexLock lock(&read_view_mu_);
-    return read_view_;
+  std::shared_ptr<const ReadView> AcquireReadView() const {
+    const ReadViewStripe& stripe = read_view_stripes_[ThisThreadStripe()];
+    MutexLock lock(&stripe.mu);
+    return stripe.view;
   }
 
   /// Snapshots pin a sequence number; reads at a snapshot see only writes
@@ -437,8 +441,10 @@ class ShardEngine {
 
   SequenceNumber OldestSnapshot() const REQUIRES(mu_);
 
+  /// `*value` holds the stored value of a live entry of `type`; replaces a
+  /// value-log pointer with the value it points to, in place.
   Status ResolveValue(const Slice& user_key, ValueType type,
-                      const std::string& raw, std::string* value);
+                      std::string* value);
 
   /// Slow path for keys whose newest visible entry is a merge operand:
   /// walks all versions of `key` at `snapshot` within `view`, collects
@@ -449,16 +455,19 @@ class ShardEngine {
 
   // --- Low-contention read path -----------------------------------------
   /// Rebuilds the view from {mem_, imms_, versions_->current()} and swaps
-  /// it in under read_view_mu_. Called only by the paths that change view
-  /// membership: Recover, memtable seal, flush install, and compaction
-  /// install.
-  void PublishReadView() REQUIRES(mu_) EXCLUDES(read_view_mu_);
-  /// Resolves the open TableReader for `f`, preferring the per-file pin in
-  /// f.table_handle (one atomic load, no shard lock) and falling back to
-  /// the sharded TableCache on first touch, then publishing the result into
-  /// the pin for every later reader of any Version containing the file.
-  Status GetTableReader(const FileMetaData& f,
-                        std::shared_ptr<TableReader>* reader);
+  /// it into every stripe, one stripe lock at a time. Called only by the
+  /// paths that change view membership: Recover, memtable seal, flush
+  /// install, and compaction install. Holding mu_ throughout is what keeps
+  /// a completed write visible: the write that follows a membership change
+  /// needs mu_, so it completes only after every stripe holds the new view.
+  void PublishReadView() REQUIRES(mu_);
+  /// Resolves the open TableReader for `f`, a file of a Version the caller
+  /// holds; the pointer stays valid while that Version does. Steady state:
+  /// one acquire load of the per-file pin in f.table_handle, no lock, no
+  /// reference count. On first touch it resolves through the sharded
+  /// TableCache and publishes the reader into the pin for every later
+  /// reader of any Version containing the file.
+  Status GetTableReader(const FileMetaData& f, TableReader** reader);
 
   class DBIter;
   std::unique_ptr<Iterator> NewInternalIterator(const ReadOptions& options,
@@ -496,16 +505,19 @@ class ShardEngine {
 
   std::shared_ptr<MemTable> mem_ GUARDED_BY(mu_);
   std::deque<std::shared_ptr<MemTable>> imms_ GUARDED_BY(mu_);  // Oldest 1st.
-  /// Leaf lock for the published view pointer only. Its critical section is
-  /// a shared_ptr copy (two atomic ops), so readers never wait on flush
-  /// installs, manifest writes, or compaction bookkeeping, all of which
-  /// hold mu_. Ordered after mu_ (publishers hold mu_ while swapping);
-  /// readers take it alone.
-  mutable Mutex read_view_mu_{LockRank::kReadView, "shard.read_view_mu"};
-  /// Published read snapshot (see ReadView). Republished by the membership-
-  /// changing paths (seal, flush install, compaction install, recovery)
-  /// while they hold mu_.
-  std::shared_ptr<const ReadView> read_view_ GUARDED_BY(read_view_mu_);
+  /// One stripe of the published read snapshot (see ReadView), on cache
+  /// lines of its own. Its leaf lock guards only the pointer; the critical
+  /// section is a shared_ptr copy, so readers never wait on flush installs,
+  /// manifest writes, or compaction bookkeeping, all of which hold mu_.
+  /// Each stripe's reference has its own control block, so readers on
+  /// different stripes bump different reference counts. Ordered after mu_
+  /// (PublishReadView holds mu_ while filling the stripes); readers take
+  /// their own stripe's lock alone.
+  struct alignas(kCacheLineSize) ReadViewStripe {
+    mutable Mutex mu{LockRank::kReadView, "shard.read_view_stripe.mu"};
+    std::shared_ptr<const ReadView> view GUARDED_BY(mu);
+  };
+  std::array<ReadViewStripe, kThreadStripes> read_view_stripes_;
   uint64_t log_file_number_ GUARDED_BY(mu_) = 0;
   std::unique_ptr<WritableFile> log_file_ GUARDED_BY(mu_);
   std::unique_ptr<wal::Writer> log_ GUARDED_BY(mu_);

@@ -1003,29 +1003,30 @@ Status ShardEngine::GetRawPointer(const ReadOptions& options, const Slice& key,
     }
   }
   const Version* version = view->version.get();
-  for (int level = 0; level < version->num_levels(); ++level) {
-    for (const FileMetaData* f : version->FilesContaining(level, key)) {
-      std::shared_ptr<TableReader> reader;
-      Status s = GetTableReader(*f, &reader);
+  Status s;
+  bool found = false;
+  for (int level = 0; !found && s.ok() && level < version->num_levels();
+       ++level) {
+    version->ForEachFileContaining(level, key, [&](const FileMetaData& f) {
+      TableReader* reader = nullptr;
+      s = GetTableReader(f, &reader);
       if (!s.ok()) {
-        return s;
+        return false;
       }
       if (reader->KeyDefinitelyAbsent(key)) {
-        continue;
+        return true;
       }
-      bool found;
-      std::string entry_key;
-      s = reader->InternalGet(options, lkey.internal_key(), &found,
-                              &entry_key, raw);
-      if (!s.ok()) {
-        return s;
-      }
-      if (found) {
-        return ExtractValueType(entry_key) == kTypeVlogPointer
-                   ? Status::OK()
-                   : Status::NotFound("not separated");
-      }
-    }
+      s = reader->InternalGet(options, lkey.internal_key(), &found, &type,
+                              raw);
+      return s.ok() && !found;
+    });
+  }
+  if (!s.ok()) {
+    return s;
+  }
+  if (found) {
+    return type == kTypeVlogPointer ? Status::OK()
+                                    : Status::NotFound("not separated");
   }
   return Status::NotFound("key not found");
 }

@@ -136,7 +136,7 @@ Status ShardEngine::VerifyChecksums() {
       if (compaction_rate_limiter_ != nullptr) {
         compaction_rate_limiter_->Request(f.file_size);
       }
-      std::shared_ptr<TableReader> reader;
+      TableReader* reader = nullptr;
       Status s = GetTableReader(f, &reader);
       if (s.ok()) {
         std::unique_ptr<Iterator> iter = reader->NewIterator(scrub_options);

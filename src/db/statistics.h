@@ -10,34 +10,83 @@
 #include "util/histogram.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
+#include "util/thread_stripe.h"
 
 namespace lsmlab {
 
+/// A uint64 counter striped over kThreadStripes cache lines: each thread
+/// adds to its own stripe, so threads bumping one counter on every lookup
+/// write no shared cache line. A read sums the stripes; it is exact once
+/// the adders are quiescent, and under concurrent adds it sees a subset of
+/// them, as a relaxed std::atomic load would. Spelled like
+/// std::atomic<uint64_t> (fetch_add / load / operator=) so the call sites
+/// and every reader of Statistics compile unchanged. fetch_add returns
+/// nothing: a per-stripe previous value means nothing to the caller.
+class StripedCounter {
+ public:
+  StripedCounter() = default;
+  StripedCounter(const StripedCounter&) = delete;
+  StripedCounter& operator=(const StripedCounter&) = delete;
+
+  void fetch_add(uint64_t n,
+                 std::memory_order /*order*/ = std::memory_order_relaxed) {
+    stripes_[ThisThreadStripe()].value.fetch_add(n,
+                                                 std::memory_order_relaxed);
+  }
+
+  uint64_t load(
+      std::memory_order /*order*/ = std::memory_order_relaxed) const {
+    uint64_t total = 0;
+    for (const Stripe& stripe : stripes_) {
+      total += stripe.value.load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+
+  /// Sets the total to `value` (Statistics::Reset). Adds racing the store
+  /// may survive it, as they would survive a std::atomic store.
+  uint64_t operator=(uint64_t value) {
+    for (Stripe& stripe : stripes_) {
+      stripe.value.store(0, std::memory_order_relaxed);
+    }
+    stripes_[0].value.store(value, std::memory_order_relaxed);
+    return value;
+  }
+
+ private:
+  struct alignas(kCacheLineSize) Stripe {
+    std::atomic<uint64_t> value{0};
+  };
+  std::array<Stripe, kThreadStripes> stripes_{};
+};
+
 /// Engine-wide counters. Every experiment reads these to report the
 /// I/O-shape metrics the tutorial reasons about (superfluous probes saved by
-/// filters, compaction traffic, stall time). All fields are atomics;
-/// increments are relaxed.
+/// filters, compaction traffic, stall time). Every counter is atomic with
+/// relaxed increments. Those that every Get / MultiGet / filter / index
+/// probe bumps are StripedCounters, so concurrent readers write no shared
+/// cache line; the rest are plain std::atomic.
 struct Statistics {
   // Read path.
-  std::atomic<uint64_t> point_lookups{0};
-  std::atomic<uint64_t> point_lookup_found{0};
-  std::atomic<uint64_t> runs_probed{0};          // Sorted runs actually read.
-  std::atomic<uint64_t> runs_skipped_by_filter{0};
-  std::atomic<uint64_t> filter_checks{0};
-  std::atomic<uint64_t> filter_false_positives{0};
+  StripedCounter point_lookups;
+  StripedCounter point_lookup_found;
+  StripedCounter runs_probed;          // Sorted runs actually read.
+  StripedCounter runs_skipped_by_filter;
+  StripedCounter filter_checks;
+  StripedCounter filter_false_positives;
   std::atomic<uint64_t> range_scans{0};
   /// Table-reader resolutions served without opening the file (a pinned
   /// per-version handle or the sharded reader map already held it) vs.
   /// resolutions that had to open and parse the table footer.
-  std::atomic<uint64_t> table_cache_hits{0};
+  StripedCounter table_cache_hits;
   std::atomic<uint64_t> table_cache_misses{0};
   /// ReadView republications (membership changes of {mem, imms, version});
   /// steady-state reads acquire the current view without touching them.
   std::atomic<uint64_t> read_views_published{0};
   /// MultiGet batches and the keys they carried; keys / batches is the mean
   /// batch size.
-  std::atomic<uint64_t> multiget_batches{0};
-  std::atomic<uint64_t> multiget_keys{0};
+  StripedCounter multiget_batches;
+  StripedCounter multiget_keys;
   /// Batched I/O (DESIGN.md, "Batched I/O"): MultiRead submissions issued
   /// by the read path, the block reads they carried (reads / batches is the
   /// mean submission depth), and the bytes those reads returned.
@@ -52,8 +101,8 @@ struct Statistics {
   /// lookups the model certified from digests alone vs. lookups that hit a
   /// digest tie and fell back to the binary-searched fence block. A
   /// mispredicting model shows up here, not as silent slowdown.
-  std::atomic<uint64_t> learned_index_hits{0};
-  std::atomic<uint64_t> learned_index_fallbacks{0};
+  StripedCounter learned_index_hits;
+  StripedCounter learned_index_fallbacks;
   /// Index bytes pinned in memory by table opens plus lazy fence-block
   /// loads; learned tables pin the (much smaller) model block up front and
   /// the fence block only on first fallback.

@@ -34,7 +34,8 @@ class HashLinkListRep final : public MemTableRep {
     ++count_;
   }
 
-  const char* PointSeek(const Slice& internal_key) override {
+  const char* PointSeek(const LookupKey& key) override {
+    const Slice internal_key = key.internal_key();
     Node* node = buckets_[BucketIndex(internal_key)];
     while (node != nullptr &&
            cmp_.CompareEntryToKey(node->entry, internal_key) < 0) {

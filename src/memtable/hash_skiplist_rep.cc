@@ -3,7 +3,6 @@
 
 #include "memtable/memtable_rep.h"
 #include "memtable/skiplist.h"
-#include "util/coding.h"
 #include "util/hash.h"
 
 namespace lsmlab {
@@ -27,12 +26,9 @@ class HashSkipListRep final : public MemTableRep {
     ++count_;
   }
 
-  const char* PointSeek(const Slice& internal_key) override {
-    ListType::Iterator iter(&Bucket(internal_key));
-    std::string probe;
-    PutVarint32(&probe, static_cast<uint32_t>(internal_key.size()));
-    probe.append(internal_key.data(), internal_key.size());
-    iter.Seek(probe.data());
+  const char* PointSeek(const LookupKey& key) override {
+    ListType::Iterator iter(&Bucket(key.internal_key()));
+    iter.Seek(key.memtable_key().data());
     return iter.Valid() ? iter.key() : nullptr;
   }
 

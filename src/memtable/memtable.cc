@@ -53,7 +53,7 @@ void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& user_key,
 
 bool MemTable::Get(const LookupKey& key, std::string* value,
                    ValueType* type_out) {
-  const char* entry = rep_->PointSeek(key.internal_key());
+  const char* entry = rep_->PointSeek(key);
   if (entry == nullptr) {
     return false;
   }

@@ -60,12 +60,13 @@ class MemTableRep {
   /// compare unequal to every entry already present.
   virtual void Insert(const char* entry) = 0;
 
-  /// Returns the first entry with internal key >= `internal_key`, or nullptr.
-  /// The result may belong to a different user key; callers check.
+  /// Returns the first entry with internal key >= `key.internal_key()`, or
+  /// nullptr. The result may belong to a different user key; callers check.
   /// Reps optimized for point access (hashed) only guarantee correct results
   /// when the target user key hashes to the probed bucket, which is the case
-  /// for lookups of a single user key.
-  virtual const char* PointSeek(const Slice& internal_key) = 0;
+  /// for lookups of a single user key. `key.memtable_key()` already has the
+  /// entry layout, so skip-list reps seek with it and allocate nothing.
+  virtual const char* PointSeek(const LookupKey& key) = 0;
 
   /// Number of entries inserted so far.
   virtual size_t Count() const = 0;

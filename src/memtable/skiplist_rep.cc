@@ -18,8 +18,10 @@ class SkipListRep final : public MemTableRep {
     ++count_;
   }
 
-  const char* PointSeek(const Slice& internal_key) override {
-    return SeekInternal(internal_key);
+  const char* PointSeek(const LookupKey& key) override {
+    ListType::Iterator iter(&list_);
+    iter.Seek(key.memtable_key().data());
+    return iter.Valid() ? iter.key() : nullptr;
   }
 
   size_t Count() const override { return count_; }

@@ -21,12 +21,12 @@ class VectorRep final : public MemTableRep {
     sorted_ = false;
   }
 
-  const char* PointSeek(const Slice& internal_key) override {
+  const char* PointSeek(const LookupKey& key) override {
     EnsureSorted();
     auto it = std::lower_bound(
-        entries_.begin(), entries_.end(), internal_key,
-        [this](const char* entry, const Slice& key) {
-          return cmp_.CompareEntryToKey(entry, key) < 0;
+        entries_.begin(), entries_.end(), key.internal_key(),
+        [this](const char* entry, const Slice& target) {
+          return cmp_.CompareEntryToKey(entry, target) < 0;
         });
     return it == entries_.end() ? nullptr : *it;
   }

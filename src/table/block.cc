@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <vector>
 
 #include "util/coding.h"
@@ -58,7 +59,94 @@ const char* DecodeEntry(const char* p, const char* limit, uint32_t* shared,
   return p;
 }
 
+uint32_t RestartPoint(const char* data, uint32_t restarts, uint32_t index) {
+  return DecodeFixed32(data + restarts + index * sizeof(uint32_t));
+}
+
+/// The fence-pointer search within a block: binary-searches the restart
+/// array for the last restart point whose key is < target (0 if none).
+/// Returns false when a restart entry is undecodable or not a full key.
+bool FindRestartRegion(const Comparator* comparator, const char* data,
+                       uint32_t restarts, uint32_t num_restarts,
+                       const Slice& target, uint32_t* region) {
+  uint32_t left = 0;
+  uint32_t right = num_restarts - 1;
+  while (left < right) {
+    uint32_t mid = (left + right + 1) / 2;
+    uint32_t region_offset = RestartPoint(data, restarts, mid);
+    uint32_t shared, non_shared, value_length;
+    const char* key_ptr =
+        DecodeEntry(data + region_offset, data + restarts, &shared,
+                    &non_shared, &value_length);
+    if (key_ptr == nullptr || (shared != 0)) {
+      return false;
+    }
+    Slice mid_key(key_ptr, non_shared);
+    if (comparator->Compare(mid_key, target) < 0) {
+      left = mid;
+    } else {
+      right = mid - 1;
+    }
+  }
+  *region = left;
+  return true;
+}
+
 }  // namespace
+
+void Block::KeyBuffer::Grow(size_t needed) {
+  size_t capacity = std::max(needed, 2 * capacity_);
+  std::unique_ptr<char[]> bigger(new char[capacity]);
+  std::memcpy(bigger.get(), data_, size_);
+  heap_ = std::move(bigger);
+  data_ = heap_.get();
+  capacity_ = capacity;
+}
+
+Status Block::Find(const Comparator* comparator, const Slice& target,
+                   KeyBuffer* scratch, bool* found, Slice* key,
+                   Slice* value) const {
+  *found = false;
+  if (malformed_) {
+    return Status::Corruption("malformed block");
+  }
+  const uint32_t num_restarts = NumRestarts();
+  if (num_restarts == 0) {
+    return Status::OK();
+  }
+  const char* data = data_.data();
+  uint32_t region = 0;
+  if (!FindRestartRegion(comparator, data, restart_offset_, num_restarts,
+                         target, &region)) {
+    return Status::Corruption("bad entry in block");
+  }
+  // Scan forward from the region's restart point, reassembling each
+  // prefix-compressed key in `scratch`, until a key >= target.
+  uint32_t offset = RestartPoint(data, restart_offset_, region);
+  if (offset >= restart_offset_) {
+    return Status::OK();  // The iterator runs off the end here too.
+  }
+  const char* p = data + offset;
+  const char* limit = data + restart_offset_;
+  scratch->Truncate(0);
+  while (p < limit) {
+    uint32_t shared, non_shared, value_length;
+    p = DecodeEntry(p, limit, &shared, &non_shared, &value_length);
+    if (p == nullptr || scratch->size() < shared) {
+      return Status::Corruption("bad entry in block");
+    }
+    scratch->Truncate(shared);
+    scratch->Append(p, non_shared);
+    if (comparator->Compare(scratch->slice(), target) >= 0) {
+      *found = true;
+      *key = scratch->slice();
+      *value = Slice(p + non_shared, value_length);
+      return Status::OK();
+    }
+    p += non_shared + value_length;
+  }
+  return Status::OK();
+}
 
 class Block::Iter final : public Iterator {
  public:
@@ -93,27 +181,11 @@ class Block::Iter final : public Iterator {
   }
 
   void Seek(const Slice& target) override {
-    // Binary-search the restart array for the last restart with key < target
-    // (the fence-pointer search within a block), then scan linearly.
     uint32_t left = 0;
-    uint32_t right = num_restarts_ - 1;
-    while (left < right) {
-      uint32_t mid = (left + right + 1) / 2;
-      uint32_t region_offset = GetRestartPoint(mid);
-      uint32_t shared, non_shared, value_length;
-      const char* key_ptr =
-          DecodeEntry(data_ + region_offset, data_ + restarts_, &shared,
-                      &non_shared, &value_length);
-      if (key_ptr == nullptr || (shared != 0)) {
-        CorruptionError();
-        return;
-      }
-      Slice mid_key(key_ptr, non_shared);
-      if (comparator_->Compare(mid_key, target) < 0) {
-        left = mid;
-      } else {
-        right = mid - 1;
-      }
+    if (!FindRestartRegion(comparator_, data_, restarts_, num_restarts_,
+                           target, &left)) {
+      CorruptionError();
+      return;
     }
 
     SeekToRestartPoint(left);
@@ -130,7 +202,7 @@ class Block::Iter final : public Iterator {
  private:
   uint32_t GetRestartPoint(uint32_t index) const {
     assert(index < num_restarts_);
-    return DecodeFixed32(data_ + restarts_ + index * sizeof(uint32_t));
+    return RestartPoint(data_, restarts_, index);
   }
 
   void SeekToRestartPoint(uint32_t index) {

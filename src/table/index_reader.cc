@@ -19,14 +19,15 @@ BinarySearchIndexReader::BinarySearchIndexReader(
 
 bool BinarySearchIndexReader::Locate(const Slice& internal_key,
                                      BlockHandle* handle, Status* s) {
-  *s = Status::OK();
-  auto iter = fence_block_->NewIterator(comparator_);
-  iter->Seek(internal_key);
-  if (!iter->Valid()) {
-    *s = iter->status();
+  Block::KeyBuffer scratch;
+  bool found = false;
+  Slice fence_key;
+  Slice input;
+  *s = fence_block_->Find(comparator_, internal_key, &scratch, &found,
+                          &fence_key, &input);
+  if (!s->ok() || !found) {
     return false;
   }
-  Slice input = iter->value();
   *s = handle->DecodeFrom(&input);
   return s->ok();
 }
@@ -154,17 +155,19 @@ bool LearnedIndexReader::LocatePosition(const Slice& internal_key,
   if (!s->ok()) {
     return false;
   }
-  auto iter = fence->NewIterator(comparator_);
-  iter->Seek(internal_key);
-  if (!iter->Valid()) {
-    *s = iter->status();
-    if (!s->ok()) {
-      return false;
-    }
+  Block::KeyBuffer scratch;
+  bool found = false;
+  Slice fence_key;
+  Slice input;
+  *s = fence->Find(comparator_, internal_key, &scratch, &found, &fence_key,
+                   &input);
+  if (!s->ok()) {
+    return false;
+  }
+  if (!found) {
     *position = n;  // Past the last block.
     return true;
   }
-  Slice input = iter->value();
   BlockHandle h;
   *s = h.DecodeFrom(&input);
   if (!s->ok()) {

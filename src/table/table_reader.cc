@@ -223,7 +223,7 @@ std::shared_ptr<const Block> TableReader::FetchDataBlock(
   if (options_.block_cache != nullptr) {
     auto cached = options_.block_cache->Lookup(key);
     if (cached != nullptr) {
-      return std::static_pointer_cast<const Block>(cached);
+      return std::static_pointer_cast<const Block>(std::move(cached));
     }
   }
 
@@ -250,8 +250,8 @@ std::shared_ptr<const Block> TableReader::LookupCachedBlock(uint64_t offset) {
   }
   char cache_key[16];
   MakeBlockCacheKey(file_number_, offset, cache_key);
-  auto cached = options_.block_cache->Lookup(Slice(cache_key, 16));
-  return std::static_pointer_cast<const Block>(cached);
+  return std::static_pointer_cast<const Block>(
+      options_.block_cache->Lookup(Slice(cache_key, 16)));
 }
 
 Status TableReader::FinishBatchedBlockRead(
@@ -278,28 +278,31 @@ Status TableReader::FinishBatchedBlockRead(
 }
 
 Status TableReader::SearchBlock(const Block& block, const Slice& internal_key,
-                                bool* found_entry, std::string* entry_key,
-                                std::string* entry_value) {
+                                bool* found_entry, ValueType* type,
+                                std::string* value) {
   *found_entry = false;
-  auto block_iter = block.NewIterator(options_.comparator);
-  block_iter->Seek(internal_key);
-  if (block_iter->Valid()) {
-    Slice found_key = block_iter->key();
-    if (options_.comparator->user_comparator()->Compare(
-            ExtractUserKey(found_key), ExtractUserKey(internal_key)) == 0) {
-      *found_entry = true;
-      entry_key->assign(found_key.data(), found_key.size());
-      Slice v = block_iter->value();
-      entry_value->assign(v.data(), v.size());
-    }
+  Block::KeyBuffer scratch;
+  bool positioned = false;
+  Slice entry_key;
+  Slice entry_value;
+  Status s = block.Find(options_.comparator, internal_key, &scratch,
+                        &positioned, &entry_key, &entry_value);
+  if (!s.ok() || !positioned ||
+      options_.comparator->user_comparator()->Compare(
+          ExtractUserKey(entry_key), ExtractUserKey(internal_key)) != 0) {
+    return s;
   }
-  return block_iter->status();
+  *found_entry = true;
+  *type = ExtractValueType(entry_key);
+  if (*type != kTypeDeletion && *type != kTypeSingleDeletion) {
+    value->assign(entry_value.data(), entry_value.size());
+  }
+  return s;
 }
 
 Status TableReader::InternalGet(const ReadOptions& read_options,
                                 const Slice& internal_key, bool* found_entry,
-                                std::string* entry_key,
-                                std::string* entry_value) {
+                                ValueType* type, std::string* value) {
   *found_entry = false;
 
   BlockHandle handle;
@@ -312,8 +315,7 @@ Status TableReader::InternalGet(const ReadOptions& read_options,
   if (!s.ok()) {
     return s;
   }
-  return SearchBlock(*block, internal_key, found_entry, entry_key,
-                     entry_value);
+  return SearchBlock(*block, internal_key, found_entry, type, value);
 }
 
 /// Classic two-level iteration: an index iterator yields block handles; a

@@ -55,11 +55,12 @@ class TableReader : private FenceBlockProvider {
 
   /// Point lookup. If the run may contain `internal_key`'s user key, seeks
   /// to the first entry >= internal_key; `*found_entry` is set when such an
-  /// entry exists with a matching user key. The entry's internal key and
-  /// value are returned through the out parameters.
+  /// entry exists with a matching user key. The entry's type is returned
+  /// through `type`; unless it is a tombstone, its value is assigned
+  /// straight into `*value` (a reused string allocates nothing).
   Status InternalGet(const ReadOptions& read_options,
                      const Slice& internal_key, bool* found_entry,
-                     std::string* entry_key, std::string* entry_value);
+                     ValueType* type, std::string* value);
 
   /// True if the per-run filter rules out `user_key` (saving all I/O for
   /// this run). Always false (i.e. "may match") when no filter is present.
@@ -119,11 +120,11 @@ class TableReader : private FenceBlockProvider {
                                 const Slice& contents,
                                 std::shared_ptr<const Block>* block);
 
-  /// Seeks `block` for `internal_key` with InternalGet's exact match
-  /// semantics (first entry >= internal_key whose user key matches).
+  /// Searches `block` for `internal_key` with InternalGet's exact match
+  /// semantics and outputs (first entry >= internal_key whose user key
+  /// matches), on the stack: no iterator, no key string.
   Status SearchBlock(const Block& block, const Slice& internal_key,
-                     bool* found_entry, std::string* entry_key,
-                     std::string* entry_value);
+                     bool* found_entry, ValueType* type, std::string* value);
 
   /// The underlying table file; ReadRequests against this reader's blocks
   /// target it.

@@ -26,10 +26,11 @@ namespace lsmlab {
 ///               ├─ VlogManager::mu_                     (kVlog)
 ///               ├─ CompactionPicker::mu_                (kCompactionPicker)
 ///               ├─ CompactionJob::shard_mu_             (kCompactionJob)
-///               ├─ ShardEngine::read_view_mu_           (kReadView)
+///               ├─ ShardEngine read-view stripe locks   (kReadView)
+///               │    [× kThreadStripes, one at a time]
 ///               ├─ TableCache::dirs_mu_                 (kTableCacheDirs)
 ///               ├─ TableCache::Shard::mu                (kTableCacheShard)
-///               ├─ TableHandle::mu                      (kTableHandle)
+///               ├─ TableHandle::mu_ (publication only)  (kTableHandle)
 ///               ├─ LruCache::Shard::mu                  (kBlockCacheShard)
 ///               ├─ RateLimiter::mu_                     (kRateLimiter)
 ///               ├─ ThreadPool::mu_                      (kThreadPool)
@@ -82,14 +83,17 @@ enum class LockRank : uint16_t {
   kCompactionJob = 430,
 
   // --- Read-path leaf locks -------------------------------------------
-  /// ShardEngine::read_view_mu_: published ReadView pointer swap.
+  /// ShardEngine::ReadViewStripe::mu: one per stripe, guarding that
+  /// stripe's ReadView pointer. Readers take their own stripe's lock;
+  /// PublishReadView takes the stripes one after another, never two at once.
   kReadView = 500,
   /// TableCache::dirs_mu_: directory registration table.
   kTableCacheDirs = 510,
   /// TableCache::Shard::mu: open-reader stripe. Cold-file resolution
   /// deliberately drops this lock around the file open + footer read.
   kTableCacheShard = 520,
-  /// TableHandle::mu: per-file reader pin (pointer copy only).
+  /// TableHandle::mu_: serializes the one publication of a file's reader
+  /// pin. Readers never take it (they acquire-load the published pointer).
   kTableHandle = 530,
   /// LruCache::Shard::mu: block-cache stripe.
   kBlockCacheShard = 540,

@@ -1,6 +1,7 @@
 #ifndef LSMLAB_VERSION_VERSION_EDIT_H_
 #define LSMLAB_VERSION_VERSION_EDIT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -20,15 +21,43 @@ class TableReader;
 /// Lazily resolved pin on a file's open TableReader, shared by every
 /// Version (and FileMetaData copy) that references the file. The first
 /// lookup resolves the reader through the sharded TableCache and publishes
-/// it here; steady-state reads then copy the pin under this handle's own
-/// pointer-sized lock and touch no cache shard at all — contention exists
-/// only among readers of the same file, never across files. The pin dies
-/// with the last Version that references the file (version GC), which is
-/// what bounds its lifetime — TableCache::Evict removes only the cache's
-/// own reference.
-struct TableHandle {
-  Mutex mu{LockRank::kTableHandle, "table_handle.mu"};
-  std::shared_ptr<TableReader> reader GUARDED_BY(mu);
+/// it here, once; every later read takes it with one acquire load and
+/// writes nothing shared: no lock, no reference-count bump. A caller whose
+/// Version references the file may use the raw pointer for as long as it
+/// holds that Version, because the handle (and with it the owning
+/// reference) dies only with the last Version that references the file
+/// (version GC) — TableCache::Evict removes only the cache's own reference.
+class TableHandle {
+ public:
+  /// The published reader, or null before the first publication.
+  TableReader* reader() const {
+    return published_.load(std::memory_order_acquire);
+  }
+
+  /// Owning reference for callers that outlive their Version (iterators).
+  /// Requires reader() != nullptr, after which it never changes.
+  const std::shared_ptr<TableReader>& owner() const { return owner_; }
+
+  /// Publishes `reader` unless another thread already did; returns the
+  /// reader every caller will see from now on (the first one published).
+  TableReader* Publish(std::shared_ptr<TableReader> reader) EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    TableReader* current = published_.load(std::memory_order_relaxed);
+    if (current == nullptr) {
+      owner_ = std::move(reader);
+      current = owner_.get();
+      published_.store(current, std::memory_order_release);
+    }
+    return current;
+  }
+
+ private:
+  /// Serializes publication only; readers never take it.
+  Mutex mu_{LockRank::kTableHandle, "table_handle.mu"};
+  // Written once under mu_, before the release store of published_; read
+  // only after an acquire load of published_ returned non-null.
+  std::shared_ptr<TableReader> owner_;
+  std::atomic<TableReader*> published_{nullptr};
 };
 
 /// Metadata describing one sorted-run file. In leveled levels the files of a

@@ -77,38 +77,30 @@ int Version::TotalSortedRuns() const {
   return runs;
 }
 
-std::vector<const FileMetaData*> Version::FilesContaining(
-    int level, const Slice& user_key) const {
-  std::vector<const FileMetaData*> result;
+bool Version::Covers(const FileMetaData& f, const Slice& user_key) const {
   const Comparator* ucmp = icmp_->user_comparator();
-  // L0 files overlap in every layout (flushes are not key-partitioned), so
-  // L0 is always probed exhaustively, newest file first.
-  if (level == 0 || IsTieredLevel(level)) {
-    // Files are kept newest-first; all covering files are candidates.
-    for (const auto& f : files_[level]) {
-      if (ucmp->Compare(user_key, f.smallest.user_key()) >= 0 &&
-          ucmp->Compare(user_key, f.largest.user_key()) <= 0) {
-        result.push_back(&f);
-      }
-    }
-  } else {
-    // Files are sorted by smallest key and disjoint: binary search.
-    const auto& files = files_[level];
-    size_t lo = 0, hi = files.size();
-    while (lo < hi) {
-      size_t mid = (lo + hi) / 2;
-      if (ucmp->Compare(files[mid].largest.user_key(), user_key) < 0) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    if (lo < files.size() &&
-        ucmp->Compare(user_key, files[lo].smallest.user_key()) >= 0) {
-      result.push_back(&files[lo]);
+  return ucmp->Compare(user_key, f.smallest.user_key()) >= 0 &&
+         ucmp->Compare(user_key, f.largest.user_key()) <= 0;
+}
+
+size_t Version::LeveledFileContaining(int level,
+                                      const Slice& user_key) const {
+  const Comparator* ucmp = icmp_->user_comparator();
+  const auto& files = files_[static_cast<size_t>(level)];
+  size_t lo = 0, hi = files.size();
+  while (lo < hi) {
+    size_t mid = (lo + hi) / 2;
+    if (ucmp->Compare(files[mid].largest.user_key(), user_key) < 0) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
     }
   }
-  return result;
+  if (lo < files.size() &&
+      ucmp->Compare(user_key, files[lo].smallest.user_key()) >= 0) {
+    return lo;
+  }
+  return files.size();
 }
 
 std::vector<const FileMetaData*> Version::FilesOverlapping(
@@ -150,11 +142,8 @@ void Version::CountIndexKinds(int level, int* learned, int* fence,
   *fence = 0;
   *unopened = 0;
   for (const auto& f : files_[static_cast<size_t>(level)]) {
-    std::shared_ptr<TableReader> reader;
-    if (f.table_handle != nullptr) {
-      MutexLock lock(&f.table_handle->mu);
-      reader = f.table_handle->reader;
-    }
+    const TableReader* reader =
+        f.table_handle != nullptr ? f.table_handle->reader() : nullptr;
     if (reader == nullptr) {
       ++*unopened;
     } else if (reader->index_type() == IndexType::kLearnedPLR) {

@@ -47,10 +47,28 @@ class Version {
   /// True if this level's files may overlap one another.
   bool IsTieredLevel(int level) const;
 
-  /// Files of `level` that could contain `user_key`, in probe order (newest
-  /// run first for tiered levels; the unique covering file for leveled).
-  std::vector<const FileMetaData*> FilesContaining(
-      int level, const Slice& user_key) const;
+  /// Calls `fn(const FileMetaData&)` for each file of `level` that could
+  /// contain `user_key`, in probe order (newest run first for L0 and tiered
+  /// levels; the unique covering file for leveled ones), until `fn` returns
+  /// false. Allocates nothing. Returns false iff `fn` stopped the walk.
+  template <typename Fn>
+  bool ForEachFileContaining(int level, const Slice& user_key,
+                             Fn&& fn) const {
+    const std::vector<FileMetaData>& files =
+        files_[static_cast<size_t>(level)];
+    // L0 files overlap in every layout (flushes are not key-partitioned),
+    // so L0 is always probed exhaustively, newest file first.
+    if (level == 0 || IsTieredLevel(level)) {
+      for (const FileMetaData& f : files) {
+        if (Covers(f, user_key) && !fn(f)) {
+          return false;
+        }
+      }
+      return true;
+    }
+    size_t i = LeveledFileContaining(level, user_key);
+    return i == files.size() || fn(files[i]);
+  }
 
   /// Files of `level` overlapping the user-key range [begin, end]
   /// (inclusive). Null begin/end mean unbounded.
@@ -70,6 +88,12 @@ class Version {
 
  private:
   friend class VersionSetBuilder;
+
+  /// True if `user_key` lies in [f.smallest, f.largest] by user key.
+  bool Covers(const FileMetaData& f, const Slice& user_key) const;
+  /// Index of the file of leveled `level` covering `user_key` (files are
+  /// sorted and disjoint: binary search), or the level's file count.
+  size_t LeveledFileContaining(int level, const Slice& user_key) const;
 
   const Options* options_;
   const InternalKeyComparator* icmp_;

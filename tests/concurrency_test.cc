@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -214,6 +216,78 @@ TEST_F(ConcurrencyTest, GetNeverMissesCommittedKeysDuringFlushChurn) {
   EXPECT_EQ(0u, errors.load());
   ASSERT_TRUE(db_->WaitForBackgroundWork().ok());
   EXPECT_EQ(static_cast<uint64_t>(kKeys), db_->CountLiveEntries());
+}
+
+// Read views are published into per-thread stripes. With more readers than
+// stripes (threads share stripes) and a writer that republishes the view
+// again and again (Flush seals and installs; CompactRange installs), every
+// Get must still see each write acknowledged before it began, and the
+// striped point_lookups counter must count every Get exactly once.
+TEST_F(ConcurrencyTest, StripedReadViewsNeverServeStaleValues) {
+  ASSERT_TRUE(DB::Open(options_, "/conc-stripes", &db_).ok());
+
+  constexpr int kKeys = 64;
+  constexpr int kReaders = 24;  // More than kThreadStripes.
+  constexpr int kRounds = 20;
+  auto key = [](int k) { return "sk" + std::to_string(k); };
+  auto value = [](int round) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "%08d", round);
+    return std::string(buf);
+  };
+  for (int k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), key(k), value(0)).ok());
+  }
+  const uint64_t lookups_before = db_->statistics()->point_lookups.load();
+
+  std::atomic<int> acked{0};  // Every key holds at least this round.
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> gets{0};
+  std::atomic<uint64_t> stale{0};
+  std::atomic<uint64_t> errors{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      Random rnd(static_cast<uint64_t>(r) + 500);
+      std::string got;
+      uint64_t issued = 0;
+      while (!done.load(std::memory_order_acquire)) {
+        const int floor = acked.load(std::memory_order_acquire);
+        Status s = db_->Get(ReadOptions(),
+                            key(static_cast<int>(rnd.Uniform(kKeys))), &got);
+        ++issued;
+        if (!s.ok()) {
+          ++errors;
+        } else if (std::atoi(got.c_str()) < floor) {
+          ++stale;
+        }
+      }
+      gets.fetch_add(issued);
+    });
+  }
+
+  for (int round = 1; round <= kRounds; ++round) {
+    for (int k = 0; k < kKeys; ++k) {
+      ASSERT_TRUE(db_->Put(WriteOptions(), key(k), value(round)).ok());
+    }
+    acked.store(round, std::memory_order_release);
+    if (round % 2 == 0) {
+      ASSERT_TRUE(db_->Flush().ok());
+    }
+    if (round % 5 == 0) {
+      ASSERT_TRUE(db_->CompactRange().ok());
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) {
+    t.join();
+  }
+
+  EXPECT_EQ(0u, stale.load());
+  EXPECT_EQ(0u, errors.load());
+  EXPECT_GT(gets.load(), 0u);
+  EXPECT_EQ(gets.load(),
+            db_->statistics()->point_lookups.load() - lookups_before);
 }
 
 // MultiGet acquires one view per batch; compactions republishing the view

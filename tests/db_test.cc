@@ -1128,11 +1128,11 @@ size_t CountDataBlocksHolding(Env* env, const std::string& dir,
     for (const auto& key : keys) {
       LookupKey lkey(key, kMaxSequenceNumber);
       bool found = false;
-      std::string entry_key;
+      ValueType type;
       std::string entry_value;
       EXPECT_TRUE(table
                       ->InternalGet(ReadOptions(), lkey.internal_key(), &found,
-                                    &entry_key, &entry_value)
+                                    &type, &entry_value)
                       .ok());
       BlockHandle handle;
       Status s;

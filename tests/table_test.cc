@@ -154,6 +154,85 @@ TEST(BlockTest, OverflowingEntryHeaderReportsCorruption) {
   EXPECT_TRUE(iter->status().IsCorruption());
 }
 
+// Block::Find replaces NewIterator()->Seek on the point-lookup path (fence
+// search and data-block search), so the two must agree on every target and
+// on every status, corrupt blocks included.
+void ExpectFindMatchesSeek(const Block& block, const std::string& target) {
+  auto iter = block.NewIterator(BytewiseComparator());
+  iter->Seek(target);
+  Block::KeyBuffer scratch;
+  bool found = false;
+  Slice key;
+  Slice value;
+  Status s = block.Find(BytewiseComparator(), target, &scratch, &found, &key,
+                        &value);
+  ASSERT_EQ(iter->status().ToString(), s.ToString()) << target;
+  ASSERT_EQ(iter->Valid(), found) << target;
+  if (found) {
+    EXPECT_EQ(iter->key().ToString(), key.ToString()) << target;
+    EXPECT_EQ(iter->value().ToString(), value.ToString()) << target;
+  }
+}
+
+TEST(BlockTest, FindMatchesIteratorSeek) {
+  Random rnd(2024);
+  for (int restart_interval : {1, 16}) {
+    // Keys share long prefixes (so interval 16 prefix-compresses them), and
+    // a few exceed KeyBuffer's inline space.
+    std::map<std::string, std::string> model;
+    while (model.size() < 400) {
+      std::string key = "user" + std::to_string(rnd.Uniform(100000));
+      if (rnd.OneIn(20)) {
+        key.append(Block::KeyBuffer::kInlineBytes + rnd.Uniform(64), 'x');
+      }
+      model[key] = "v" + std::to_string(rnd.Uniform(1000));
+    }
+    BlockBuilder builder(BytewiseComparator(), restart_interval);
+    for (const auto& [key, value] : model) {
+      builder.Add(key, value);
+    }
+    const std::string contents = builder.Finish().ToString();
+
+    std::vector<std::string> targets = {"", "a", "user", "\xff\xff"};
+    for (const auto& entry : model) {
+      const std::string& key = entry.first;
+      targets.push_back(key);                     // Equal to a key.
+      targets.push_back(key + std::string(1, '\0'));  // Between keys.
+      targets.push_back(key.substr(0, key.size() - 1));
+    }
+    for (int i = 0; i < 200; ++i) {
+      targets.push_back("user" + std::to_string(rnd.Uniform(100000)));
+    }
+
+    Block block{std::string(contents)};
+    for (const std::string& target : targets) {
+      ExpectFindMatchesSeek(block, target);
+    }
+
+    // Truncated blocks: mostly malformed, some with a garbage restart array.
+    for (size_t len = 0; len < contents.size(); len += 1 + rnd.Uniform(97)) {
+      Block truncated(contents.substr(0, len));
+      for (size_t t = 0; t < targets.size(); t += 7) {
+        ExpectFindMatchesSeek(truncated, targets[t]);
+      }
+    }
+    // Corrupt blocks: random bytes overwritten anywhere, restart array
+    // included.
+    for (int trial = 0; trial < 300; ++trial) {
+      std::string corrupt = contents;
+      for (int flips = 1 + static_cast<int>(rnd.Uniform(3)); flips > 0;
+           --flips) {
+        corrupt[rnd.Uniform(corrupt.size())] =
+            static_cast<char>(rnd.Uniform(256));
+      }
+      Block block_c(std::move(corrupt));
+      for (size_t t = trial % 11; t < targets.size(); t += 11) {
+        ExpectFindMatchesSeek(block_c, targets[t]);
+      }
+    }
+  }
+}
+
 // ----------------------------------------------------------- BlockHandle ----
 
 TEST(FormatTest, BlockHandleRoundTrip) {
@@ -246,8 +325,8 @@ class TableTest : public ::testing::Test {
         &ikey, ParsedInternalKey(user_key, kMaxSequenceNumber,
                                  kValueTypeForSeek));
     bool found = false;
-    std::string fkey;
-    Status s = reader_->InternalGet(ReadOptions(), ikey, &found, &fkey, value);
+    ValueType type;
+    Status s = reader_->InternalGet(ReadOptions(), ikey, &found, &type, value);
     EXPECT_TRUE(s.ok()) << s.ToString();
     return found;
   }
@@ -436,10 +515,11 @@ TEST_F(TableTest, CorruptBlockDetectedWithChecksums) {
   AppendInternalKey(&ikey, ParsedInternalKey("key000000", kMaxSequenceNumber,
                                              kValueTypeForSeek));
   bool found;
-  std::string fkey, value;
+  ValueType type;
+  std::string value;
   ReadOptions read_options;
   read_options.verify_checksums = true;
-  Status s = reader->InternalGet(read_options, ikey, &found, &fkey, &value);
+  Status s = reader->InternalGet(read_options, ikey, &found, &type, &value);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
@@ -708,9 +788,9 @@ TEST_F(TableTest, LearnedMatchesFenceRandomized) {
     std::string ikey;
     AppendInternalKey(&ikey, ParsedInternalKey(user_key, kMaxSequenceNumber,
                                                kValueTypeForSeek));
-    std::string fkey;
+    ValueType type;
     ASSERT_TRUE(
-        reader->InternalGet(ReadOptions(), ikey, found, &fkey, value).ok());
+        reader->InternalGet(ReadOptions(), ikey, found, &type, value).ok());
   };
 
   for (int trial = 0; trial < 2000; ++trial) {
@@ -863,11 +943,12 @@ TEST_F(TableTest, CorruptLearnedBlockFailsOpen) {
     if (!s.ok()) {
       continue;  // Rejected — the expected outcome for meta corruption.
     }
-    std::string ikey, fkey, value;
+    std::string ikey, value;
     AppendInternalKey(&ikey, ParsedInternalKey("key000123", kMaxSequenceNumber,
                                                kValueTypeForSeek));
     bool found = false;
-    s = reader->InternalGet(ReadOptions(), ikey, &found, &fkey, &value);
+    ValueType type;
+    s = reader->InternalGet(ReadOptions(), ikey, &found, &type, &value);
     if (s.ok() && found) {
       EXPECT_EQ("v", value);
     }

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <fstream>
 #include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "db/statistics.h"
 #include "util/arena.h"
 #include "util/clock.h"
 #include "util/coding.h"
@@ -19,6 +22,7 @@
 #include "util/slice.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
+#include "util/thread_stripe.h"
 
 namespace lsmlab {
 namespace {
@@ -62,6 +66,52 @@ TEST(SliceTest, PrefixOps) {
 }
 
 // --------------------------------------------------------------- Status ----
+
+TEST(StripedCounterTest, SumsExactlyUnderConcurrentAdds) {
+  Statistics stats;
+  constexpr int kThreads = 8;
+  constexpr uint64_t kAddsPerThread = 20000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&stats, t] {
+      for (uint64_t i = 0; i < kAddsPerThread; ++i) {
+        stats.point_lookups.fetch_add(1, std::memory_order_relaxed);
+        stats.runs_probed.fetch_add(static_cast<uint64_t>(t));
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(kThreads * kAddsPerThread, stats.point_lookups.load());
+  // sum over t of t * adds = adds * kThreads * (kThreads - 1) / 2.
+  EXPECT_EQ(kAddsPerThread * kThreads * (kThreads - 1) / 2,
+            stats.runs_probed.load());
+
+  stats.Reset();
+  EXPECT_EQ(0u, stats.point_lookups.load());
+  EXPECT_EQ(0u, stats.runs_probed.load());
+  stats.point_lookups.fetch_add(3);
+  EXPECT_EQ(3u, stats.point_lookups.load());
+}
+
+TEST(ThreadStripeTest, StableAndInRange) {
+  const size_t mine = ThisThreadStripe();
+  EXPECT_LT(mine, kThreadStripes);
+  EXPECT_EQ(mine, ThisThreadStripe());
+  // Consecutive new threads take consecutive stripes (round-robin), so
+  // kThreadStripes threads started one after another cover every stripe.
+  std::vector<size_t> seen;
+  for (size_t i = 0; i < kThreadStripes; ++i) {
+    size_t stripe = kThreadStripes;
+    std::thread([&stripe] { stripe = ThisThreadStripe(); }).join();
+    seen.push_back(stripe);
+  }
+  std::sort(seen.begin(), seen.end());
+  for (size_t i = 0; i < kThreadStripes; ++i) {
+    EXPECT_EQ(i, seen[i]);
+  }
+}
 
 TEST(StatusTest, OkIsDefault) {
   Status s;
