@@ -31,7 +31,7 @@ struct Scale {
   size_t batch_size;
 };
 
-constexpr Scale kFull = {20000, 40000, 2000, 64};
+constexpr Scale kFull = {20000, 400000, 2000, 64};
 constexpr Scale kSmoke = {2000, 2000, 100, 32};
 
 /// Runs per reported figure; the median damps one-off scheduler noise.

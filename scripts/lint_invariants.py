@@ -57,6 +57,13 @@ Runs over src/ (and any extra paths given) and enforces:
       PosixEnv::MultiRead extracts its fds; anywhere else such a cast is a
       hand-written copy of that unwrap.
 
+  one-point-lookup
+      Under db/, InternalGet(, LocateDataBlock(, ForEachFileContaining( and
+      NextFileContaining( appear only in db/shard_engine_lookup.cc, the
+      probe cursor's file: Get, MultiGet and the vlog-GC lookup share its
+      one walk over memtables, filters, index and blocks, and a call
+      elsewhere is a second copy of that walk.
+
 Exit status: 0 clean, 1 findings, 2 usage/IO error.
 Usage: scripts/lint_invariants.py [path ...]   (default: src/)
 """
@@ -110,6 +117,13 @@ CLASS_DECL_RE = re.compile(
     r"\b(?:class|struct)\s+(\w+)(?:\s+final)?\s*:([^{;]*)\{")
 BASE_NAME_RE = re.compile(r"(?:public|protected|private)?\s*([\w:]+)")
 DYNAMIC_CAST_RE = re.compile(r"dynamic_cast\s*<\s*(?:const\s+)?([\w:]+)")
+
+# The probe cursor's translation unit, and the calls only it may make
+# under db/.
+POINT_LOOKUP_TU = os.path.join("db", "shard_engine_lookup.cc")
+POINT_LOOKUP_RE = re.compile(
+    r"\b(InternalGet|LocateDataBlock|ForEachFileContaining|"
+    r"NextFileContaining)\s*\(")
 
 VOID_CAST_RE = re.compile(r"^\s*\(void\)")
 IO_SECTION_RE = re.compile(r"IoAllowedSection\s+\w+\s*[({]\s*(.*)")
@@ -281,6 +295,19 @@ def lint_env_decorators(sources, findings):
                      "is the one place that unwraps decorator files"))
 
 
+def lint_point_lookup(sources, findings):
+    """one-point-lookup: one probe walk under db/."""
+    for rel, text in sources:
+        if not rel.startswith("db" + os.sep) or rel == POINT_LOOKUP_TU:
+            continue
+        for m in POINT_LOOKUP_RE.finditer(text):
+            findings.append(
+                (rel, text.count("\n", 0, m.start()) + 1, "one-point-lookup",
+                 f"{m.group(1)}( outside {POINT_LOOKUP_TU} — run a "
+                 "ProbeCursor (ShardEngine::RunLookups) instead of a second "
+                 "probe walk"))
+
+
 def lint_cmake(path, rel, findings):
     """cpu-intrinsics, build half: no CPU-specific compile flag."""
     for i, line in enumerate(read_lines(path)):
@@ -316,6 +343,7 @@ def main(argv):
         lint_file(path, rel, findings)
         sources.append((rel, strip_line_comments(read_lines(path))))
     lint_env_decorators(sources, findings)
+    lint_point_lookup(sources, findings)
     for path in sorted(cmake_files):
         lint_cmake(path, os.path.relpath(path, src_root), findings)
 

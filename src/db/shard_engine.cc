@@ -1120,496 +1120,6 @@ Status ShardEngine::GetTableReader(const FileMetaData& f,
 }
 
 // ---------------------------------------------------------------------------
-// Read path
-// ---------------------------------------------------------------------------
-
-Status ShardEngine::ResolveValue(const Slice& user_key, ValueType type,
-                                 std::string* value) {
-  if (type != kTypeVlogPointer) {
-    return Status::OK();  // The stored value is the value.
-  }
-  VlogPointer ptr;
-  if (vlog_ == nullptr || !ptr.DecodeFrom(*value)) {
-    return Status::Corruption("bad vlog pointer");
-  }
-  return vlog_->Read(ptr, user_key, value);
-}
-
-Status ShardEngine::ResolveMerge(const ReadOptions& options, const ReadView& view,
-                        const Slice& key, SequenceNumber snapshot,
-                        std::string* value) {
-  // Walk every version of `key` visible at `snapshot`, newest first,
-  // collecting merge operands until a base value, tombstone, or the end of
-  // the key's history. Reuses the caller's view so the chain is resolved
-  // against exactly the state the lookup probed.
-  auto iter = NewInternalIterator(options, view);
-  std::string seek_key;
-  AppendInternalKey(&seek_key,
-                    ParsedInternalKey(key, snapshot, kValueTypeForSeek));
-  std::vector<std::string> operand_storage;  // Newest first.
-  std::string base_storage;
-  bool has_base = false;
-  bool deleted = false;
-
-  for (iter->Seek(seek_key); iter->Valid(); iter->Next()) {
-    ParsedInternalKey parsed;
-    if (!ParseInternalKey(iter->key(), &parsed)) {
-      return Status::Corruption("malformed internal key during merge");
-    }
-    if (options_.comparator->Compare(parsed.user_key, key) != 0) {
-      break;  // Past this key's history.
-    }
-    if (parsed.sequence > snapshot) {
-      continue;
-    }
-    if (parsed.type == kTypeMerge) {
-      operand_storage.push_back(iter->value().ToString());
-      continue;
-    }
-    if (parsed.type == kTypeDeletion || parsed.type == kTypeSingleDeletion) {
-      deleted = true;
-    } else {
-      Slice stored = iter->value();
-      base_storage.assign(stored.data(), stored.size());
-      Status s = ResolveValue(parsed.user_key, parsed.type, &base_storage);
-      if (!s.ok()) {
-        return s;
-      }
-      has_base = true;
-    }
-    break;  // Any non-merge entry terminates the operand chain.
-  }
-  if (!iter->status().ok()) {
-    return iter->status();
-  }
-  if (operand_storage.empty() && deleted) {
-    return Status::NotFound("key deleted");
-  }
-
-  Slice base_slice(base_storage);
-  const Slice* base = has_base ? &base_slice : nullptr;
-
-  std::vector<Slice> operands;  // Oldest first for the operator.
-  operands.reserve(operand_storage.size());
-  for (auto it = operand_storage.rbegin(); it != operand_storage.rend();
-       ++it) {
-    operands.emplace_back(*it);
-  }
-  if (!options_.merge_operator->Merge(key, base, operands, value)) {
-    return Status::Corruption("merge operands failed to combine");
-  }
-  return Status::OK();
-}
-
-Status ShardEngine::Get(const ReadOptions& options, const Slice& key,
-               std::string* value) {
-  stats_->point_lookups.fetch_add(1, std::memory_order_relaxed);
-
-  // Steady-state Get takes no DB-wide mutex: one copy under this thread's
-  // view stripe pins the whole read state (memtables + version), one atomic
-  // load picks the snapshot. A published last_sequence implies the covered
-  // write is already visible in the view (the write committed before
-  // publication, and view stores are release-ordered), so this pair can
-  // never miss a completed write.
-  std::shared_ptr<const ReadView> view = AcquireReadView();
-  SequenceNumber snapshot = options.snapshot_seqno != 0
-                                ? options.snapshot_seqno
-                                : versions_->last_sequence();
-
-  LookupKey lkey(key, snapshot);
-  ValueType type;
-  // Every source writes a found value straight into `*value`; tombstones
-  // leave it untouched.
-  bool found = view->mem->Get(lkey, value, &type);  // 1. Active memtable.
-  // 2. Immutable memtables, newest first.
-  for (auto imm = view->imms.begin(); !found && imm != view->imms.end();
-       ++imm) {
-    found = (*imm)->Get(lkey, value, &type);
-  }
-
-  // 3. Disk levels, shallow to deep; within a tiered level newest run first
-  // (tutorial §2.1.2 get path). Filters gate every run probe (§2.1.3). The
-  // view's Version pins every file it holds, so readers are raw pointers.
-  const Version* version = view->version.get();
-  Status s;
-  for (int level = 0; !found && s.ok() && level < version->num_levels();
-       ++level) {
-    version->ForEachFileContaining(level, key, [&](const FileMetaData& f) {
-      TableReader* reader = nullptr;
-      s = GetTableReader(f, &reader);
-      if (!s.ok()) {
-        return false;
-      }
-      if (reader->KeyDefinitelyAbsent(key)) {
-        stats_->runs_skipped_by_filter.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-      stats_->runs_probed.fetch_add(1, std::memory_order_relaxed);
-      s = reader->InternalGet(options, lkey.internal_key(), &found, &type,
-                              value);
-      if (!s.ok() || found) {
-        return false;
-      }
-      if (reader->has_filter()) {
-        // The filter said "maybe" but the run lacked the key.
-        stats_->filter_false_positives.fetch_add(1, std::memory_order_relaxed);
-      }
-      return true;
-    });
-  }
-  if (!s.ok()) {
-    return s;
-  }
-  if (!found) {
-    return Status::NotFound("key not found");
-  }
-  if (type == kTypeDeletion || type == kTypeSingleDeletion) {
-    return Status::NotFound("key deleted");
-  }
-  stats_->point_lookup_found.fetch_add(1, std::memory_order_relaxed);
-  if (type == kTypeMerge) {
-    return ResolveMerge(options, *view, key, snapshot, value);
-  }
-  return ResolveValue(key, type, value);
-}
-
-std::vector<Status> ShardEngine::MultiGet(const ReadOptions& options,
-                                 const std::vector<Slice>& keys,
-                                 std::vector<std::string>* values) {
-  // Batch-level counters (multiget_batches / multiget_keys / point_lookups)
-  // are recorded by the facade, which may split one client batch across
-  // several engines; bumping them here too would double-count.
-  const size_t n = keys.size();
-  values->clear();
-  values->resize(n);
-  std::vector<Status> statuses(n);
-  if (n == 0) {
-    return statuses;
-  }
-
-  // One view and one snapshot serve the whole batch, so every key reads the
-  // same state (same guarantees as Get, amortized over n keys).
-  std::shared_ptr<const ReadView> view = AcquireReadView();
-  SequenceNumber snapshot = options.snapshot_seqno != 0
-                                ? options.snapshot_seqno
-                                : versions_->last_sequence();
-
-  struct KeyState {
-    LookupKey lkey;
-    bool done = false;
-    /// This key's probes are probe_readers[next_probe, probe_end), in
-    /// probe order (level-major, run order within a level): laid out after
-    /// phase B, drained in phase C.
-    size_t next_probe = 0;
-    size_t probe_end = 0;
-    explicit KeyState(const Slice& key, SequenceNumber seq)
-        : lkey(key, seq) {}
-  };
-  // deque: LookupKey is pinned in place (neither copyable nor movable).
-  std::deque<KeyState> states;
-  for (const Slice& key : keys) {
-    states.emplace_back(key, snapshot);
-  }
-
-  // Finishes key i with the entry found for it (any source); every source
-  // already wrote a found value into (*values)[i].
-  auto resolve_entry = [&](size_t i, ValueType type) {
-    states[i].done = true;
-    if (type == kTypeDeletion || type == kTypeSingleDeletion) {
-      statuses[i] = Status::NotFound("key deleted");
-      return;
-    }
-    stats_->point_lookup_found.fetch_add(1, std::memory_order_relaxed);
-    if (type == kTypeMerge) {
-      statuses[i] =
-          ResolveMerge(options, *view, keys[i], snapshot, &(*values)[i]);
-      return;
-    }
-    statuses[i] = ResolveValue(keys[i], type, &(*values)[i]);
-  };
-
-  // Phase A: memtables (active, then immutables newest first). Keys
-  // resolved here never touch disk at all.
-  size_t remaining = n;
-  for (size_t i = 0; i < n; ++i) {
-    ValueType type;
-    bool hit = view->mem->Get(states[i].lkey, &(*values)[i], &type);
-    for (auto imm = view->imms.begin(); !hit && imm != view->imms.end();
-         ++imm) {
-      hit = (*imm)->Get(states[i].lkey, &(*values)[i], &type);
-    }
-    if (hit) {
-      resolve_entry(i, type);
-      --remaining;
-    }
-  }
-
-  // Phase B: walk the tree once, file by file, resolving each candidate
-  // file's reader a single time and running every relevant filter check
-  // before any data-block I/O. Keys surviving the filter are queued on the
-  // file in probe order; a key queued on files of two levels probes the
-  // shallower one first, preserving Get's newest-wins semantics. The
-  // view's Version pins every file, so readers are raw pointers.
-  struct Probe {
-    size_t key;
-    TableReader* reader;
-  };
-  std::vector<Probe> level_major;
-  const Version* version = view->version.get();
-  for (int level = 0; remaining > 0 && level < version->num_levels();
-       ++level) {
-    // ForEachFileContaining walks probe order per key; iterating keys per
-    // file keeps that order because a level's files are visited in stored
-    // order for leveled levels and newest-run-first for tiered ones.
-    for (size_t i = 0; i < n; ++i) {
-      if (states[i].done) {
-        continue;
-      }
-      version->ForEachFileContaining(
-          level, keys[i], [&](const FileMetaData& f) {
-            TableReader* reader = nullptr;
-            Status s = GetTableReader(f, &reader);
-            if (!s.ok()) {
-              statuses[i] = s;
-              states[i].done = true;
-              --remaining;
-              return false;
-            }
-            if (reader->KeyDefinitelyAbsent(keys[i])) {
-              stats_->runs_skipped_by_filter.fetch_add(
-                  1, std::memory_order_relaxed);
-              return true;
-            }
-            level_major.push_back(Probe{i, reader});
-            return true;
-          });
-    }
-  }
-  // Regroup the probes per key, keeping each key's probe order (a stable
-  // counting sort): key i's probes land in probe_readers[next_probe,
-  // probe_end).
-  std::vector<TableReader*> probe_readers(level_major.size());
-  for (const Probe& p : level_major) {
-    ++states[p.key].probe_end;
-  }
-  size_t offset = 0;
-  for (KeyState& st : states) {
-    st.next_probe = offset;
-    offset += st.probe_end;
-    st.probe_end = st.next_probe;
-  }
-  for (const Probe& p : level_major) {
-    probe_readers[states[p.key].probe_end++] = p.reader;
-  }
-
-  // Phase C (batched, the ReadOptions::batched_io default): rounds of one
-  // Env::MultiRead submission each. Every unresolved key locates — via its
-  // current probe target's pinned index — the one data block that may hold
-  // it; cache hits resolve immediately, the misses are deduped by
-  // (file, offset) and fetched together in a single submission, then
-  // searched. A key that misses its file advances to the next probe and
-  // joins the next round, so a key never reads a deeper file until the
-  // shallower one definitively missed — exactly Get's newest-wins walk,
-  // with the per-round device trips collapsed from k to 1.
-  if (options.batched_io && remaining > 0) {
-    struct PendingProbe {
-      size_t key;         // Index into states/statuses.
-      size_t read_index;  // Index into the round's unique reads.
-    };
-    std::vector<size_t> active;
-    for (size_t i = 0; i < n; ++i) {
-      if (!states[i].done) {
-        active.push_back(i);
-      }
-    }
-    while (!active.empty()) {
-      std::vector<PendingProbe> pending;
-      // The round's unique block reads, deduped by (file, offset).
-      std::vector<ReadRequest> reqs;
-      std::vector<std::unique_ptr<char[]>> bufs;
-      std::vector<TableReader*> req_reader;
-      std::vector<BlockHandle> req_handle;
-
-      for (size_t i : active) {
-        KeyState& st = states[i];
-        bool waiting = false;
-        while (st.next_probe < st.probe_end) {
-          TableReader* reader = probe_readers[st.next_probe];
-          stats_->runs_probed.fetch_add(1, std::memory_order_relaxed);
-          BlockHandle handle;
-          Status s;
-          if (!reader->LocateDataBlock(st.lkey.internal_key(), &handle, &s)) {
-            if (!s.ok()) {
-              statuses[i] = s;
-              st.done = true;
-              break;
-            }
-            // Index placed the key past the last block: miss in this file.
-            if (reader->has_filter()) {
-              stats_->filter_false_positives.fetch_add(
-                  1, std::memory_order_relaxed);
-            }
-            ++st.next_probe;
-            continue;
-          }
-          auto cached = reader->LookupCachedBlock(handle.offset());
-          if (cached != nullptr) {
-            bool found;
-            ValueType type;
-            Status bs = reader->SearchBlock(*cached, st.lkey.internal_key(),
-                                            &found, &type, &(*values)[i]);
-            if (!bs.ok()) {
-              statuses[i] = bs;
-              st.done = true;
-              break;
-            }
-            if (found) {
-              resolve_entry(i, type);
-              break;
-            }
-            if (reader->has_filter()) {
-              stats_->filter_false_positives.fetch_add(
-                  1, std::memory_order_relaxed);
-            }
-            ++st.next_probe;
-            continue;
-          }
-          // Cold block: join this round's submission.
-          size_t read_index = reqs.size();
-          for (size_t r = 0; r < reqs.size(); ++r) {
-            if (req_reader[r] == reader &&
-                req_handle[r].offset() == handle.offset()) {
-              read_index = r;
-              break;
-            }
-          }
-          if (read_index == reqs.size()) {
-            size_t len =
-                static_cast<size_t>(handle.size()) + kBlockTrailerSize;
-            bufs.push_back(std::make_unique<char[]>(len));
-            ReadRequest req;
-            req.file = reader->file();
-            req.offset = handle.offset();
-            req.len = len;
-            req.scratch = bufs.back().get();
-            reqs.push_back(req);
-            req_reader.push_back(reader);
-            req_handle.push_back(handle);
-          }
-          pending.push_back(PendingProbe{i, read_index});
-          waiting = true;
-          break;
-        }
-        if (!waiting && !states[i].done) {
-          statuses[i] = Status::NotFound("key not found");
-          states[i].done = true;
-        }
-      }
-
-      std::vector<size_t> next_active;
-      if (!pending.empty()) {
-        options_.env->MultiRead(reqs.data(), reqs.size());
-        stats_->io_batches.fetch_add(1, std::memory_order_relaxed);
-        stats_->io_batch_reads.fetch_add(reqs.size(),
-                                        std::memory_order_relaxed);
-        // Materialize each unique block once (verify + cache-insert per
-        // the reader's fetch context, computed once for the whole batch).
-        std::vector<std::shared_ptr<const Block>> blocks(reqs.size());
-        std::vector<Status> block_status(reqs.size());
-        uint64_t bytes = 0;
-        for (size_t r = 0; r < reqs.size(); ++r) {
-          if (!reqs[r].status.ok()) {
-            block_status[r] = reqs[r].status;
-            continue;
-          }
-          bytes += reqs[r].result.size();
-          block_status[r] = req_reader[r]->FinishBatchedBlockRead(
-              req_reader[r]->MakeFetchContext(options), req_handle[r],
-              reqs[r].result, &blocks[r]);
-        }
-        stats_->io_batch_bytes.fetch_add(bytes, std::memory_order_relaxed);
-        for (const PendingProbe& p : pending) {
-          KeyState& st = states[p.key];
-          if (!block_status[p.read_index].ok()) {
-            statuses[p.key] = block_status[p.read_index];
-            st.done = true;
-            continue;
-          }
-          TableReader* reader = probe_readers[st.next_probe];
-          bool found;
-          ValueType type;
-          Status bs =
-              reader->SearchBlock(*blocks[p.read_index],
-                                  st.lkey.internal_key(), &found, &type,
-                                  &(*values)[p.key]);
-          if (!bs.ok()) {
-            statuses[p.key] = bs;
-            st.done = true;
-            continue;
-          }
-          if (found) {
-            resolve_entry(p.key, type);
-            continue;
-          }
-          if (reader->has_filter()) {
-            stats_->filter_false_positives.fetch_add(1,
-                                                    std::memory_order_relaxed);
-          }
-          ++st.next_probe;
-          if (st.next_probe < st.probe_end) {
-            next_active.push_back(p.key);
-          } else {
-            statuses[p.key] = Status::NotFound("key not found");
-            st.done = true;
-          }
-        }
-      }
-      active = std::move(next_active);
-    }
-    return statuses;
-  }
-
-  // Phase C (serial, batched_io off — the A/B baseline of experiment A6):
-  // data-block reads, deferred until all filtering is done. Each
-  // key walks its probe list shallow-to-deep and stops at the first file
-  // holding any visible entry (InternalGet seeks to the newest entry <=
-  // snapshot within the file, so per-file resolution matches Get).
-  for (size_t i = 0; i < n; ++i) {
-    if (states[i].done) {
-      continue;
-    }
-    bool resolved = false;
-    for (size_t p = states[i].next_probe; p < states[i].probe_end; ++p) {
-      TableReader* reader = probe_readers[p];
-      stats_->runs_probed.fetch_add(1, std::memory_order_relaxed);
-      bool found;
-      ValueType type;
-      Status s = reader->InternalGet(options, states[i].lkey.internal_key(),
-                                     &found, &type, &(*values)[i]);
-      if (!s.ok()) {
-        statuses[i] = s;
-        resolved = true;
-        break;
-      }
-      if (!found) {
-        if (reader->has_filter()) {
-          stats_->filter_false_positives.fetch_add(1,
-                                                  std::memory_order_relaxed);
-        }
-        continue;
-      }
-      resolve_entry(i, type);
-      resolved = true;
-      break;
-    }
-    if (!resolved) {
-      statuses[i] = Status::NotFound("key not found");
-    }
-  }
-  return statuses;
-}
-
-// ---------------------------------------------------------------------------
 // Iterators / scans
 // ---------------------------------------------------------------------------
 

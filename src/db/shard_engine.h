@@ -6,6 +6,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -55,6 +56,47 @@ struct ReadView {
   /// use this as their snapshot (it is stale the moment a later write
   /// commits); they re-load the live counter. Kept for diagnostics.
   SequenceNumber published_sequence = 0;
+};
+
+/// One key's place in the point-lookup walk of tutorial §2.1.2–2.1.3: the
+/// memtables newest first, then every sorted run that may hold the key,
+/// shallow to deep, each run gated by its filter. ShardEngine::Advance moves
+/// it lazily and stops at the first entry, at the end of the runs, or at a
+/// data block that is not cached; ShardEngine::RunLookups reads the blocks
+/// a round of cursors waits on in one Env::MultiRead and moves them on.
+/// Get drives one cursor, MultiGet one per key, the vlog-GC lookup one.
+struct ProbeCursor {
+  enum class State { kProbing, kWaiting, kFound, kAbsent, kFailed };
+
+  /// Places the cursor before the first memtable. A found value is written
+  /// into `*value`.
+  void Start(const Slice& user_key, SequenceNumber snapshot,
+             std::string* value_out) {
+    lkey.emplace(user_key, snapshot);
+    value = value_out;
+  }
+  void Fail(const Status& s) {
+    status = s;
+    state = State::kFailed;
+  }
+
+  std::optional<LookupKey> lkey;
+  std::string* value = nullptr;
+  State state = State::kProbing;
+  /// Position: memtables probed so far (the active one counts first), then
+  /// the Version::NextFileContaining position.
+  size_t memtables = 0;
+  int level = 0;
+  size_t file = 0;
+  /// kWaiting: the run being probed and its data block that is not cached.
+  TableReader* reader = nullptr;
+  BlockHandle block;
+  /// kWaiting: index of the block's read in the current round.
+  size_t read = 0;
+  /// kFound: the entry's type (its value, unless a tombstone, is in
+  /// *value). kFailed: the error.
+  ValueType type = kTypeValue;
+  Status status;
 };
 
 /// Process-wide resources a ShardEngine borrows from its owning facade
@@ -144,14 +186,13 @@ class ShardEngine {
   Status Get(const ReadOptions& options, const Slice& key,
              std::string* value);
 
-  /// Batched point lookup: resolves every key under one ReadView (one
-  /// atomic acquire for the whole batch) and reorders the work file-by-file
-  /// — all memtable probes first, then every filter check, then data-block
-  /// reads — so a table's filter and reader are touched once per batch
-  /// instead of once per key. Returns one Status per key, aligned with
-  /// `keys`; `values` is resized to match. Batch-level statistics
-  /// (multiget_batches / multiget_keys / point_lookups) are the facade's to
-  /// record — it may split one client batch across several engines.
+  /// Batched point lookup: every key reads one ReadView at one snapshot,
+  /// and the keys' cold data blocks of each round are read in one
+  /// Env::MultiRead submission (see ProbeCursor). Returns one Status per
+  /// key, aligned with `keys`; `values` is resized to match. Batch-level
+  /// statistics (multiget_batches / multiget_keys / point_lookups) are the
+  /// facade's to record — it may split one client batch across several
+  /// engines.
   std::vector<Status> MultiGet(const ReadOptions& options,
                                const std::vector<Slice>& keys,
                                std::vector<std::string>* values);
@@ -445,6 +486,23 @@ class ShardEngine {
   /// value-log pointer with the value it points to, in place.
   Status ResolveValue(const Slice& user_key, ValueType type,
                       std::string* value);
+
+  // --- Point lookups (shard_engine_lookup.cc) ---------------------------
+  /// Moves `c` along its walk over `view` until it finds an entry, runs out
+  /// of runs, fails, or waits on a data block that is not cached.
+  void Advance(const ReadView& view, ProbeCursor* c);
+  /// Searches the run `c` waits on, now that its data block is in hand;
+  /// returns false when the run lacks the key and the walk goes on.
+  bool SearchRun(const Block& block, ProbeCursor* c);
+  /// Runs `n` started cursors to the end of their walks over `view`: each
+  /// round reads the cold blocks the waiting cursors need in one
+  /// Env::MultiRead submission, deduplicated by (file, offset).
+  void RunLookups(const ReadOptions& options, const ReadView& view,
+                  ProbeCursor* cursors, size_t n);
+  /// The Get/MultiGet result of a finished cursor: tombstones and absent
+  /// keys are NotFound, merges and value-log pointers are resolved.
+  Status ResolveLookup(const ReadOptions& options, const ReadView& view,
+                       SequenceNumber snapshot, ProbeCursor* c);
 
   /// Slow path for keys whose newest visible entry is a merge operand:
   /// walks all versions of `key` at `snapshot` within `view`, collects

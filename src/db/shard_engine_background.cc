@@ -986,49 +986,4 @@ Status ShardEngine::GarbageCollectVlog() {
   return Status::OK();
 }
 
-Status ShardEngine::GetRawPointer(const ReadOptions& options, const Slice& key,
-                         std::string* raw) {
-  std::shared_ptr<const ReadView> view = AcquireReadView();
-  SequenceNumber snapshot = versions_->last_sequence();
-  LookupKey lkey(key, snapshot);
-  ValueType type;
-  if (view->mem->Get(lkey, raw, &type)) {
-    return type == kTypeVlogPointer ? Status::OK()
-                                    : Status::NotFound("not separated");
-  }
-  for (const auto& imm : view->imms) {
-    if (imm->Get(lkey, raw, &type)) {
-      return type == kTypeVlogPointer ? Status::OK()
-                                      : Status::NotFound("not separated");
-    }
-  }
-  const Version* version = view->version.get();
-  Status s;
-  bool found = false;
-  for (int level = 0; !found && s.ok() && level < version->num_levels();
-       ++level) {
-    version->ForEachFileContaining(level, key, [&](const FileMetaData& f) {
-      TableReader* reader = nullptr;
-      s = GetTableReader(f, &reader);
-      if (!s.ok()) {
-        return false;
-      }
-      if (reader->KeyDefinitelyAbsent(key)) {
-        return true;
-      }
-      s = reader->InternalGet(options, lkey.internal_key(), &found, &type,
-                              raw);
-      return s.ok() && !found;
-    });
-  }
-  if (!s.ok()) {
-    return s;
-  }
-  if (found) {
-    return type == kTypeVlogPointer ? Status::OK()
-                                    : Status::NotFound("not separated");
-  }
-  return Status::NotFound("key not found");
-}
-
 }  // namespace lsmlab

@@ -87,12 +87,13 @@ struct Statistics {
   /// batch size.
   StripedCounter multiget_batches;
   StripedCounter multiget_keys;
-  /// Batched I/O (DESIGN.md, "Batched I/O"): MultiRead submissions issued
-  /// by the read path, the block reads they carried (reads / batches is the
-  /// mean submission depth), and the bytes those reads returned.
-  std::atomic<uint64_t> io_batches{0};
-  std::atomic<uint64_t> io_batch_reads{0};
-  std::atomic<uint64_t> io_batch_bytes{0};
+  /// Point-lookup block reads (DESIGN.md, "Point lookups"): MultiRead
+  /// submissions issued by Get, MultiGet and the vlog-GC lookup, the block
+  /// reads they carried (reads / batches is the mean submission depth), and
+  /// the bytes those reads returned.
+  StripedCounter io_batches;
+  StripedCounter io_batch_reads;
+  StripedCounter io_batch_bytes;
   /// Iterator readahead: data-block reads served from the prefetch buffer
   /// vs. reads that had to go to the device.
   std::atomic<uint64_t> readahead_hits{0};

@@ -13,6 +13,10 @@ void RandomAccessFile::MultiRead(ReadRequest* reqs, size_t n) const {
 }
 
 void Env::MultiRead(ReadRequest* reqs, size_t n) {
+  if (n == 1 && reqs[0].file != nullptr) {
+    reqs[0].file->MultiRead(reqs, 1);  // One file: nothing to group.
+    return;
+  }
   // Group by file in order of first appearance. Batches are small (tens of
   // requests), so a linear scan beats a hash map.
   std::vector<std::pair<RandomAccessFile*, std::vector<size_t>>> groups;

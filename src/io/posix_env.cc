@@ -124,7 +124,10 @@ bool UringBatch(BoundRead* ops, size_t n) {
 }
 
 void DispatchBatch(BatchIoBackend backend, BoundRead* ops, size_t n) {
-  if (n == 0 || (backend == BatchIoBackend::kIoUring && UringBatch(ops, n))) {
+  // A batch of one is one plain pread; the ring pays off only when it
+  // carries several reads.
+  if (n == 0 ||
+      (n > 1 && backend == BatchIoBackend::kIoUring && UringBatch(ops, n))) {
     return;
   }
   for (size_t i = 0; i < n; ++i) {

@@ -63,17 +63,15 @@ struct BlockContents {
 /// Checks the kBlockTrailerSize-byte trailer following `n` bytes of block
 /// data at `data` (so data[0 .. n + kBlockTrailerSize) must be valid):
 /// rejects unknown compression types always, and CRC mismatches when
-/// `verify_checksum` is set. Shared by ReadBlock and the batched read path,
-/// which verifies buffers it fetched through Env::MultiRead.
+/// `verify_checksum` is set. Shared by ReadBlock and TableReader's data-block
+/// reads.
 Status VerifyBlockTrailer(const char* data, size_t n, bool verify_checksum);
 
 /// Reads the block identified by `handle`, verifying the CRC trailer when
-/// `verify_checksum` is set. `scratch` (nullable) is a caller-owned reusable
-/// read buffer: supplying one across calls (e.g. per iterator) removes the
-/// per-call heap allocation a cold read otherwise pays.
+/// `verify_checksum` is set. Used for a table's meta blocks; data blocks
+/// go through TableReader's block cache.
 Status ReadBlock(const RandomAccessFile* file, const BlockHandle& handle,
-                 bool verify_checksum, BlockContents* result,
-                 std::string* scratch = nullptr);
+                 bool verify_checksum, BlockContents* result);
 
 }  // namespace lsmlab
 

@@ -57,7 +57,9 @@ class TableReader : private FenceBlockProvider {
   /// to the first entry >= internal_key; `*found_entry` is set when such an
   /// entry exists with a matching user key. The entry's type is returned
   /// through `type`; unless it is a tombstone, its value is assigned
-  /// straight into `*value` (a reused string allocates nothing).
+  /// straight into `*value` (a reused string allocates nothing). The
+  /// table-level lookup; the DB's probe cursor runs the same steps one at a
+  /// time so that cold blocks can share one batched read.
   Status InternalGet(const ReadOptions& read_options,
                      const Slice& internal_key, bool* found_entry,
                      ValueType* type, std::string* value);
@@ -82,14 +84,14 @@ class TableReader : private FenceBlockProvider {
   /// Loads every data block into the block cache (Leaper-style re-warm).
   void WarmCache();
 
-  // --- Batched-read building blocks (DESIGN.md, "Batched I/O") -------------
-  // DB::MultiGet uses these to collect each key's candidate data-block read,
-  // issue all of them as one Env::MultiRead submission, and finish the
-  // lookups against the completed buffers.
+  // --- Point-lookup building blocks (DESIGN.md, "Point lookups") -----------
+  // The DB's probe cursor locates each key's candidate data block, searches
+  // it when cached, and otherwise reads it with the other keys' cold blocks
+  // in one Env::MultiRead submission, finishing each read here.
 
-  /// The per-batch fetch decision, taken once instead of re-derived from
-  /// ReadOptions on every block (satellite of ISSUE 6): whether to verify
-  /// trailers and whether completed blocks enter the cache.
+  /// The per-read fetch decision, taken once instead of re-derived from
+  /// ReadOptions on every block: whether to verify trailers and whether
+  /// completed blocks enter the cache.
   struct BlockFetchContext {
     bool verify_checksums = false;
     bool fill_cache = false;
@@ -100,8 +102,7 @@ class TableReader : private FenceBlockProvider {
         read_options.fill_cache && options_.block_cache != nullptr};
   }
 
-  /// Resolves, via the pinned index (fence or learned — the batched
-  /// MultiGet path dispatches through the same IndexReader), the data block
+  /// Resolves, via the pinned index (fence or learned), the data block
   /// that may contain `internal_key`. Returns false when the index places
   /// the key past the last block (no candidate; *s stays OK unless the
   /// index itself erred).
@@ -111,14 +112,13 @@ class TableReader : private FenceBlockProvider {
   /// Cache-only lookup for the data block at `offset`; nullptr on miss.
   std::shared_ptr<const Block> LookupCachedBlock(uint64_t offset);
 
-  /// Completes one batched block read: `contents` is the raw
-  /// handle.size() + kBlockTrailerSize bytes returned by MultiRead for
-  /// `handle`. Verifies the trailer per `ctx`, materializes the Block, and
-  /// inserts it into the cache when ctx.fill_cache.
-  Status FinishBatchedBlockRead(const BlockFetchContext& ctx,
-                                const BlockHandle& handle,
-                                const Slice& contents,
-                                std::shared_ptr<const Block>* block);
+  /// Completes one data-block read, single or batched: `contents` is the
+  /// raw handle.size() + kBlockTrailerSize bytes read for `handle`.
+  /// Verifies the trailer per `ctx`, materializes the Block, and inserts it
+  /// into the cache when ctx.fill_cache.
+  Status FinishBlockRead(const BlockFetchContext& ctx,
+                         const BlockHandle& handle, const Slice& contents,
+                         std::shared_ptr<const Block>* block);
 
   /// Searches `block` for `internal_key` with InternalGet's exact match
   /// semantics and outputs (first entry >= internal_key whose user key
@@ -140,9 +140,9 @@ class TableReader : private FenceBlockProvider {
                                             const ReadOptions& read_options,
                                             Status* s);
 
-  /// Core fetch: cache lookup, then — on miss — a read through `file`
-  /// (the table file, or an iterator's readahead wrapper) using the
-  /// caller's reusable `scratch` buffer (nullable).
+  /// Core fetch: LookupCachedBlock, then — on miss — a read through `file`
+  /// (the table file, or an iterator's readahead wrapper) into the caller's
+  /// reusable `scratch` buffer (nullable), finished by FinishBlockRead.
   std::shared_ptr<const Block> FetchDataBlock(const BlockHandle& handle,
                                               const BlockFetchContext& ctx,
                                               const RandomAccessFile* file,

@@ -277,11 +277,6 @@ struct ReadOptions {
   bool fill_cache = true;
   /// If nonzero, read at this sequence number (snapshot read).
   uint64_t snapshot_seqno = 0;
-  /// MultiGet only: collect the batch's candidate data-block reads after
-  /// the memtable+filter pass into one Env::MultiRead submission instead of
-  /// per-key serial reads (DESIGN.md, "Batched I/O"). Off restores the
-  /// serial walk — the A/B baseline of experiment A6.
-  bool batched_io = true;
   /// Iterators only: ceiling of the per-iterator readahead window. Data
   /// blocks are fetched through a buffer that doubles from one block up to
   /// this many bytes while the scan stays sequential. 0 disables readahead

@@ -103,6 +103,32 @@ size_t Version::LeveledFileContaining(int level,
   return files.size();
 }
 
+const FileMetaData* Version::NextFileContaining(const Slice& user_key,
+                                                int* level,
+                                                size_t* index) const {
+  for (; *level < num_levels(); ++*level, *index = 0) {
+    const std::vector<FileMetaData>& files =
+        files_[static_cast<size_t>(*level)];
+    if (*level == 0 || IsTieredLevel(*level)) {
+      // L0 files overlap in every layout (flushes are not key-partitioned),
+      // so L0 is always probed exhaustively, newest file first.
+      while (*index < files.size()) {
+        const FileMetaData& f = files[(*index)++];
+        if (Covers(f, user_key)) {
+          return &f;
+        }
+      }
+    } else if (*index < files.size()) {
+      const size_t i = LeveledFileContaining(*level, user_key);
+      *index = files.size();  // At most one file of the level covers it.
+      if (i < files.size()) {
+        return &files[i];
+      }
+    }
+  }
+  return nullptr;
+}
+
 std::vector<const FileMetaData*> Version::FilesOverlapping(
     int level, const Slice* begin, const Slice* end) const {
   std::vector<const FileMetaData*> result;

@@ -47,28 +47,15 @@ class Version {
   /// True if this level's files may overlap one another.
   bool IsTieredLevel(int level) const;
 
-  /// Calls `fn(const FileMetaData&)` for each file of `level` that could
-  /// contain `user_key`, in probe order (newest run first for L0 and tiered
-  /// levels; the unique covering file for leveled ones), until `fn` returns
-  /// false. Allocates nothing. Returns false iff `fn` stopped the walk.
-  template <typename Fn>
-  bool ForEachFileContaining(int level, const Slice& user_key,
-                             Fn&& fn) const {
-    const std::vector<FileMetaData>& files =
-        files_[static_cast<size_t>(level)];
-    // L0 files overlap in every layout (flushes are not key-partitioned),
-    // so L0 is always probed exhaustively, newest file first.
-    if (level == 0 || IsTieredLevel(level)) {
-      for (const FileMetaData& f : files) {
-        if (Covers(f, user_key) && !fn(f)) {
-          return false;
-        }
-      }
-      return true;
-    }
-    size_t i = LeveledFileContaining(level, user_key);
-    return i == files.size() || fn(files[i]);
-  }
+  /// The point-lookup walk over the tree, one file at a time: the next file
+  /// at or after position (*level, *index) that could contain `user_key`,
+  /// in probe order (levels shallow to deep; newest run first within L0
+  /// and tiered levels; the unique covering file of a leveled level), or
+  /// nullptr when no file is left. On return the position is past the
+  /// returned file, so the next call resumes the walk. Start at (0, 0).
+  /// Allocates nothing.
+  const FileMetaData* NextFileContaining(const Slice& user_key, int* level,
+                                         size_t* index) const;
 
   /// Files of `level` overlapping the user-key range [begin, end]
   /// (inclusive). Null begin/end mean unbounded.

@@ -12,9 +12,13 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "db/db.h"
+#include "db/dbformat.h"
 #include "io/mem_env.h"
+#include "memtable/memtable.h"
+#include "util/comparator.h"
 
 namespace {
 
@@ -157,6 +161,38 @@ TEST_F(AllocTest, MemTableGetMakesNoAllocation) {
   EXPECT_EQ(0u, MaxAllocationsPerGet());
   // No Get reached a table: the keys all sit in the active memtable.
   EXPECT_EQ(probed_before, db_->statistics()->runs_probed.load());
+}
+
+TEST(MemTableSeekAllocTest, ReusedSkipListIteratorSeekMakesNoAllocation) {
+  InternalKeyComparator icmp(BytewiseComparator());
+  MemTable mem(&icmp, MemTableRepType::kSkipList, 0);
+  for (int i = 0; i < kKeys; ++i) {
+    mem.Add(static_cast<SequenceNumber>(i + 1), kTypeValue, Key(i), Value(i));
+  }
+  std::vector<std::string> targets(kKeys);
+  for (int i = 0; i < kKeys; ++i) {
+    AppendInternalKey(&targets[static_cast<size_t>(i)],
+                      ParsedInternalKey(Key(i), kMaxSequenceNumber,
+                                        kValueTypeForSeek));
+  }
+  std::unique_ptr<MemTable::Iterator> iter = mem.NewIterator();
+  iter->Seek(targets[0]);  // Warm: the iterator's first seek may set up.
+  uint64_t worst = 0;
+  for (int i = 0; i < kKeys; ++i) {
+    const std::string key = Key(i);
+    bool positioned = false;
+    uint64_t allocations = 0;
+    {
+      AllocationWindow window;
+      iter->Seek(targets[static_cast<size_t>(i)]);
+      positioned =
+          iter->Valid() && ExtractUserKey(iter->key()) == Slice(key);
+      allocations = window.count();
+    }
+    EXPECT_TRUE(positioned) << key;
+    worst = std::max(worst, allocations);
+  }
+  EXPECT_EQ(0u, worst);
 }
 
 }  // namespace

@@ -756,67 +756,101 @@ TEST_F(DBTest, MultiGetEmptyAndDuplicateKeys) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched I/O: MultiGet with batched_io on/off must be byte-identical, and
-// the batch/readahead counters must actually move.
+// Point lookups against a reference model, and the batch/readahead counters
+// must actually move.
 // ---------------------------------------------------------------------------
 
+/// Writes puts, overwrites, deletions and merge operands spread over the
+/// memtable, L0 and deeper levels, mirroring each write into a std::map, then
+/// checks every key's MultiGet and Get result, at the live sequence and at a
+/// snapshot taken mid-history, against the map. With no block cache every
+/// data-block read is cold; with one, a second pass is served warm. Values
+/// are `value_bytes` long, so a KV-separated DB resolves value-log pointers.
+void CheckLookupsAgainstModel(Options options, size_t value_bytes) {
+  options.merge_operator = NewStringAppendOperator(',');
+  auto value_of = [&](const std::string& tag, int i) {
+    std::string v = tag + std::to_string(i);
+    v.resize(std::max(v.size(), value_bytes), '.');
+    return v;
+  };
+  for (size_t cache : {size_t{0}, size_t{1} << 20}) {
+    options.block_cache_capacity = cache;
+    const std::string name = cache == 0 ? "/model_cold" : "/model_warm";
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(options, name, &db).ok());
+    std::map<std::string, std::string> model;
+    auto key_of = [](int i) { return "key" + std::to_string(i); };
+    for (int i = 0; i < 600; ++i) {
+      model[key_of(i)] = value_of("v", i);
+      ASSERT_TRUE(db->Put(WriteOptions(), key_of(i), model[key_of(i)]).ok());
+    }
+    ASSERT_TRUE(db->WaitForBackgroundWork().ok());
+    const SequenceNumber snap = db->GetSnapshot();
+    const std::map<std::string, std::string> snap_model = model;
+    for (int i = 0; i < 600; i += 5) {
+      model[key_of(i)] = value_of("over", i);
+      ASSERT_TRUE(db->Put(WriteOptions(), key_of(i), model[key_of(i)]).ok());
+    }
+    for (int i = 2; i < 600; i += 11) {
+      model.erase(key_of(i));
+      ASSERT_TRUE(db->Delete(WriteOptions(), key_of(i)).ok());
+    }
+    for (int i = 3; i < 600; i += 13) {
+      auto it = model.find(key_of(i));
+      model[key_of(i)] = it == model.end() ? "m" : it->second + ",m";
+      ASSERT_TRUE(db->Merge(WriteOptions(), key_of(i), "m").ok());
+    }
+    ASSERT_TRUE(db->Flush().ok());
+
+    std::vector<std::string> key_storage;
+    for (int i = 0; i < 660; i += 3) {  // Includes absent keys >= 600.
+      key_storage.push_back(key_of(i));
+    }
+    std::vector<Slice> keys(key_storage.begin(), key_storage.end());
+    for (int pass = 0; pass < (cache == 0 ? 1 : 2); ++pass) {
+      for (bool use_snapshot : {false, true}) {
+        ReadOptions ro;
+        if (use_snapshot) {
+          ro.snapshot_seqno = snap;
+        }
+        const std::map<std::string, std::string>& expected =
+            use_snapshot ? snap_model : model;
+        std::vector<std::string> values;
+        std::vector<Status> statuses = db->MultiGet(ro, keys, &values);
+        ASSERT_EQ(keys.size(), statuses.size());
+        for (size_t i = 0; i < keys.size(); ++i) {
+          const std::string where = name + " pass=" + std::to_string(pass) +
+                                    " snapshot=" +
+                                    std::to_string(use_snapshot) + " " +
+                                    key_storage[i];
+          std::string got;
+          Status s = db->Get(ro, key_storage[i], &got);
+          auto it = expected.find(key_storage[i]);
+          if (it == expected.end()) {
+            EXPECT_TRUE(statuses[i].IsNotFound()) << where;
+            EXPECT_TRUE(s.IsNotFound()) << where;
+            continue;
+          }
+          ASSERT_TRUE(statuses[i].ok()) << where << ": "
+                                        << statuses[i].ToString();
+          EXPECT_EQ(it->second, values[i]) << where;
+          ASSERT_TRUE(s.ok()) << where << ": " << s.ToString();
+          EXPECT_EQ(it->second, got) << where;
+        }
+      }
+    }
+    db->ReleaseSnapshot(snap);
+  }
+}
+
 TEST_F(DBTest, MultiGetBatchedAgreesWithSerialEverywhere) {
-  options_.merge_operator = NewStringAppendOperator(',');
-  OpenDB();
-  // Spread data over memtable, L0, and deeper levels; mix in overwrites,
-  // deletions, merge chains, and a snapshot taken mid-history.
-  for (int i = 0; i < 600; ++i) {
-    ASSERT_TRUE(Put("key" + std::to_string(i), "v" + std::to_string(i)).ok());
-  }
-  ASSERT_TRUE(db_->WaitForBackgroundWork().ok());
-  SequenceNumber snap = db_->GetSnapshot();
-  for (int i = 0; i < 600; i += 5) {
-    ASSERT_TRUE(Put("key" + std::to_string(i), "over" + std::to_string(i)).ok());
-  }
-  for (int i = 2; i < 600; i += 11) {
-    ASSERT_TRUE(db_->Delete(WriteOptions(), "key" + std::to_string(i)).ok());
-  }
-  for (int i = 3; i < 600; i += 13) {
-    ASSERT_TRUE(db_->Merge(WriteOptions(), "key" + std::to_string(i), "m").ok());
-  }
-  ASSERT_TRUE(db_->Flush().ok());
+  CheckLookupsAgainstModel(options_, 0);
+}
 
-  std::vector<std::string> key_storage;
-  for (int i = 0; i < 660; i += 3) {  // Includes absent keys >= 600.
-    key_storage.push_back("key" + std::to_string(i));
-  }
-  std::vector<Slice> keys(key_storage.begin(), key_storage.end());
-
-  for (bool use_snapshot : {false, true}) {
-    ReadOptions batched, serial;
-    batched.batched_io = true;
-    serial.batched_io = false;
-    if (use_snapshot) {
-      batched.snapshot_seqno = snap;
-      serial.snapshot_seqno = snap;
-    }
-    std::vector<std::string> bvals, svals;
-    std::vector<Status> bstat = db_->MultiGet(batched, keys, &bvals);
-    std::vector<Status> sstat = db_->MultiGet(serial, keys, &svals);
-    ASSERT_EQ(keys.size(), bstat.size());
-    ASSERT_EQ(keys.size(), sstat.size());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      EXPECT_EQ(sstat[i].ok(), bstat[i].ok())
-          << key_storage[i] << " snapshot=" << use_snapshot;
-      EXPECT_EQ(sstat[i].IsNotFound(), bstat[i].IsNotFound())
-          << key_storage[i] << " snapshot=" << use_snapshot;
-      if (bstat[i].ok()) {
-        EXPECT_EQ(svals[i], bvals[i])
-            << key_storage[i] << " snapshot=" << use_snapshot;
-      }
-      if (!use_snapshot) {  // Per-key Get is the third witness.
-        EXPECT_EQ(bstat[i].IsNotFound() ? "NOT_FOUND" : bvals[i],
-                  Get(key_storage[i]))
-            << key_storage[i];
-      }
-    }
-  }
-  db_->ReleaseSnapshot(snap);
+TEST_F(DBTest, KvSeparatedLookupsMatchModel) {
+  options_.kv_separation = true;
+  options_.kv_separation_threshold = 32;
+  CheckLookupsAgainstModel(options_, 48);
 }
 
 TEST_F(DBTest, BatchedMultiGetMovesIoBatchStats) {
@@ -1305,6 +1339,62 @@ TEST_F(DBTest, ScanReportsReadFaultPastFileBoundary) {
   // The fault hit a file past the first one, and only that file was lost.
   EXPECT_GT(returned, 1);
   EXPECT_LT(returned, 2000);
+}
+
+TEST_F(DBTest, ReadFaultOnColdBlockFailsOnlyItsKey) {
+  // A scripted read fault on one cold table block reaches Get's status, and
+  // in a MultiGet the status of the key that needed the block, while the
+  // batch's other keys still succeed.
+  FaultInjectionEnv fault_env(&env_);
+  options_.env = &fault_env;
+  options_.num_shards = 1;
+  options_.index_type = IndexType::kBinarySearchFence;  // No lazy fences.
+  options_.block_cache_capacity = 0;  // Every data-block read is cold.
+  std::unique_ptr<DB> db;  // Declared after fault_env: closes first.
+  ASSERT_TRUE(DB::Open(options_, "/db", &db).ok());
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE(db->Put(WriteOptions(), ScanKey(i), std::string(100, 'v')).ok());
+  }
+  ASSERT_TRUE(db->Flush().ok());
+  ASSERT_TRUE(db->WaitForBackgroundWork().ok());
+
+  // Keys far enough apart to sit in different data blocks.
+  std::vector<std::string> key_storage;
+  for (int i = 0; i < 400; i += 80) {
+    key_storage.push_back(ScanKey(i));
+  }
+  std::vector<Slice> keys(key_storage.begin(), key_storage.end());
+  std::string value;
+  for (const std::string& key : key_storage) {
+    // Opens every table reader first: an open reads the file too.
+    ASSERT_TRUE(db->Get(ReadOptions(), key, &value).ok()) << key;
+  }
+
+  FaultRule rule;  // The next table read fails, once.
+  rule.file_kinds = kFaultTable;
+  rule.ops = kFaultOpRead;
+  rule.at_op_index = 0;
+  rule.max_failures = 1;
+  fault_env.AddRule(rule);
+  Status s = db->Get(ReadOptions(), key_storage[0], &value);
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_EQ(1u, fault_env.injected_faults());
+  ASSERT_TRUE(db->Get(ReadOptions(), key_storage[0], &value).ok());
+
+  fault_env.AddRule(rule);  // A fresh rule: the batch's first read fails.
+  std::vector<std::string> values;
+  std::vector<Status> statuses = db->MultiGet(ReadOptions(), keys, &values);
+  EXPECT_EQ(2u, fault_env.injected_faults());
+  int failed = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (statuses[i].ok()) {
+      EXPECT_EQ(std::string(100, 'v'), values[i]) << key_storage[i];
+    } else {
+      EXPECT_TRUE(statuses[i].IsIOError()) << statuses[i].ToString();
+      ++failed;
+    }
+  }
+  EXPECT_EQ(1, failed);
 }
 
 /// Randomized Seek/Next/SeekToFirst scans against a std::map model, over
